@@ -10,6 +10,7 @@ success, 1 on data or validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from . import analysis, corpus, metrics, model, training
-from .errors import DataError, HistnerError
+from .errors import ConfigError, DataError, HistnerError
 
 logger = logging.getLogger("histner")
 
@@ -69,10 +70,20 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
+def _config_section(file_cfg: dict, section: str, cls) -> dict:
+    values = file_cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in config section {section!r}")
+    return dict(values)
+
+
 def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
     file_cfg = _load_config_file(getattr(args, "config", None))
-    tagger_kwargs = dict(file_cfg.get("tagger", {}))
-    train_kwargs = dict(file_cfg.get("train", {}))
+    tagger_kwargs = _config_section(file_cfg, "tagger", model.TaggerConfig)
+    train_kwargs = _config_section(file_cfg, "train", training.TrainConfig)
     # flags override the config file
     for flag, key in [
         ("mode", "mode"), ("lam", "lam"), ("epochs", "epochs"), ("lr", "lr"),
@@ -278,7 +289,7 @@ def cmd_crossregion(args) -> int:
     docs = _load_corpus(args.input)
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
-    result = training.inter_regional(splits, tagger_cfg, train_cfg, jobs=args.jobs)
+    result = training.inter_regional(splits, tagger_cfg, train_cfg)
     out = _ensure_out(args)
     _write_json(out / "crossregion.json", result.to_json_dict())
     rows = [
@@ -288,7 +299,7 @@ def cmd_crossregion(args) -> int:
     (out / "crossregion.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     write_manifest(out, "crossregion",
                    {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
-                    "input": args.input, "jobs": args.jobs},
+                    "input": args.input},
                    [Path(args.input)], args.seed)
     print(result.render_text())
     return 0
@@ -375,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossregion", help="inter-regional train/eval matrix")
     common(p, out_required=True)
     train_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_crossregion)
 
     p = sub.add_parser("export-embeddings", help="per-sentence mean feature vectors")

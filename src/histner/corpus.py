@@ -657,8 +657,8 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # JSONL / CoNLL serialization
 # ---------------------------------------------------------------------------
 
-def _tokens_from_texts(texts: Sequence[str]) -> list[Token]:
-    # Reconstruct offsets by joining with single spaces.
+def sentence_from_texts(texts: Sequence[str], tags: Sequence[str], region: Region) -> Sentence:
+    """A sentence from token strings, with offsets as if joined by single spaces."""
     tokens = []
     pos = 0
     for text in texts:
@@ -666,7 +666,7 @@ def _tokens_from_texts(texts: Sequence[str]) -> list[Token]:
             raise DataError("empty token text")
         tokens.append(Token(text, pos, pos + len(text)))
         pos += len(text) + 1
-    return tokens
+    return Sentence(tokens=tokens, tags=list(tags), region=region)
 
 
 def sentence_to_json_dict(doc_id: str, sent: Sentence, year: int | None) -> dict:
@@ -694,28 +694,38 @@ def save_jsonl(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(dumps_jsonl(corpus), encoding="utf-8")
 
 
+def _record_fields(obj) -> tuple[str, int | None, Sentence]:
+    """Check one JSONL record; returns its document id, year and sentence."""
+    if not isinstance(obj, dict):
+        raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("doc_id", "region", "tokens", "tags"):
+        if key not in obj:
+            raise DataError(f"missing key {key!r}")
+    for key in ("tokens", "tags"):
+        if not isinstance(obj[key], list) or not all(isinstance(t, str) for t in obj[key]):
+            raise DataError(f"{key!r} must be a list of strings")
+    year = obj.get("year")
+    if year is not None and (type(year) is not int or not YEAR_MIN <= year <= YEAR_MAX):
+        raise DataError(f"year must be an integer in [{YEAR_MIN}, {YEAR_MAX}], got {year!r}")
+    sentence = sentence_from_texts(obj["tokens"], obj["tags"], Region.parse(obj["region"]))
+    return str(obj["doc_id"]), year, sentence
+
+
 def loads_jsonl(content: str) -> Corpus:
-    groups: dict[str, dict] = {}
+    docs: dict[str, Document] = {}
     for line_no, line in enumerate(content.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            doc_id, year, sent = _record_fields(json.loads(line))
         except json.JSONDecodeError as exc:
             raise DataError(f"line {line_no}: invalid JSON ({exc.msg})")
-        for key in ("doc_id", "region", "tokens", "tags"):
-            if key not in obj:
-                raise DataError(f"line {line_no}: missing key {key!r}")
-        region = Region.parse(obj["region"])
-        tokens = _tokens_from_texts([str(t) for t in obj["tokens"]])
-        sent = Sentence(tokens=tokens, tags=[str(t) for t in obj["tags"]], region=region)
-        doc_id = str(obj["doc_id"])
-        group = groups.setdefault(doc_id, {"region": region, "year": obj.get("year"), "sents": []})
-        group["sents"].append(sent)
-    return [
-        Document(id=doc_id, region=g["region"], sentences=g["sents"], year=g["year"])
-        for doc_id, g in groups.items()
-    ]
+        except DataError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
+        if doc_id not in docs:
+            docs[doc_id] = Document(id=doc_id, region=sent.region, sentences=[], year=year)
+        docs[doc_id].sentences.append(sent)
+    return list(docs.values())
 
 
 def load_jsonl(path: str | Path) -> Corpus:

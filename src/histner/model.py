@@ -11,6 +11,7 @@ heads are linear maps on the same features.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,13 +108,20 @@ class TaggerParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerParams":
-        with np.load(path) as data:
-            if "__meta__" not in data:
-                raise DataError(f"{path}: not a tagger checkpoint")
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise DataError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-            config = TaggerConfig(**meta["config"])
+        try:
+            data = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: not a tagger checkpoint ({exc})") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data:
+            raise DataError(f"{path}: not a tagger checkpoint")
+        with data:
+            try:
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                if meta["version"] != CHECKPOINT_VERSION:
+                    raise DataError(f"{path}: unsupported checkpoint version {meta['version']}")
+                config = TaggerConfig(**meta["config"])
+            except (ValueError, TypeError, KeyError) as exc:
+                raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
             params = init_params(config)
             for (group, name), arr in params.items_flat():
                 key = f"{group}.{name}"

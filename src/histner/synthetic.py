@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document, Region, Sentence, Splits, Token
+from .corpus import Corpus, Document, Region, Sentence, Splits, sentence_from_texts
 from .errors import ConfigError
 from .model import TaggerConfig, featurize
 from .training import (
@@ -48,15 +48,6 @@ SOURCE_DOMAIN = Region.BESSARABIA
 TARGET_DOMAIN = Region.TRANSYLVANIA
 
 ANCHOR_LABELS = ("PERSON", "LOCATION", "DATE", "ORGANISATION")
-
-
-def sentence_from_texts(texts: list[str], tags: list[str], region: Region) -> Sentence:
-    tokens = []
-    pos = 0
-    for text in texts:
-        tokens.append(Token(text, pos, pos + len(text)))
-        pos += len(text) + 1
-    return Sentence(tokens=tokens, tags=tags, region=region)
 
 
 class _WordFactory:

@@ -19,10 +19,9 @@ effective scale independent of batch size.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +94,11 @@ def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> l
     return [encode_sentence(s, config) for s in sentences]
 
 
+def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
+    """The region label of every token of the group, in order."""
+    return np.concatenate([np.full(len(s), s.region_id, dtype=np.int64) for s in group])
+
+
 # ---------------------------------------------------------------------------
 # Losses and gradients
 # ---------------------------------------------------------------------------
@@ -115,9 +119,7 @@ def compute_losses(
         raise ConfigError(f"lambda must be >= 0, got {lam}")
     windows = np.concatenate([s.windows for s in batch], axis=0)
     tags = np.concatenate([s.tag_ids for s in batch])
-    regions = np.concatenate(
-        [np.full(len(s), s.region_id, dtype=np.int64) for s in batch]
-    )
+    regions = _region_ids(batch)
     scale = -lam if mode == "grad_rev" else None
     graph = m.forward_windows(params, windows, domain_grad_scale=scale)
     l_y = ad.mean(ad.softmax_cross_entropy(graph.ner_logits, tags))
@@ -181,16 +183,14 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-    keys: Sequence[tuple[str, str]] | None = None,
 ) -> None:
-    """Bias-corrected Adam update in place. Weight decay is decoupled and
-    applied before the moment update. ``keys`` restricts the update to a
-    subset of parameters (used by the frozen-feature domain probe)."""
+    """Bias-corrected Adam update in place of every parameter that has a
+    gradient in ``grads``; the others stay as they are. Weight decay is
+    decoupled and applied before the moment update."""
     state.step += 1
     t = state.step
     arrays = dict(params.items_flat())
-    for key in keys if keys is not None else arrays:
-        grad = grads[key]
+    for key, grad in grads.items():
         arr = arrays[key]
         if grad.shape != arr.shape:
             raise DataError(f"gradient shape {grad.shape} != param shape {arr.shape} for {key}")
@@ -207,19 +207,28 @@ def adam_step(
 # Prediction and evaluation
 # ---------------------------------------------------------------------------
 
-def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence],
-                    chunk: int = 64) -> list[np.ndarray]:
-    """Argmax tag ids per sentence, batching sentences into shared graphs."""
+#: Sentences per forward graph at inference; bounds the graph's memory.
+_CHUNK = 64
+
+
+def _forward_chunks(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> Iterator:
+    """Yield each run of ``_CHUNK`` sentences with the forward graph of its
+    concatenated windows; callers reduce a chunk before taking the next."""
+    for lo in range(0, len(encoded), _CHUNK):
+        group = encoded[lo : lo + _CHUNK]
+        yield group, m.forward_windows(params, np.concatenate([s.windows for s in group], axis=0))
+
+
+def _per_sentence(rows: np.ndarray, group: Sequence[EncodedSentence]) -> list[np.ndarray]:
+    """Split a chunk's per-token rows back into one block per sentence."""
+    return np.split(rows, np.cumsum([len(s) for s in group])[:-1])
+
+
+def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> list[np.ndarray]:
+    """Argmax tag ids per sentence."""
     out: list[np.ndarray] = []
-    for lo in range(0, len(encoded), chunk):
-        group = encoded[lo : lo + chunk]
-        windows = np.concatenate([s.windows for s in group], axis=0)
-        graph = m.forward_windows(params, windows)
-        tag_ids = np.argmax(graph.ner_logits.value, axis=1)
-        pos = 0
-        for s in group:
-            out.append(tag_ids[pos : pos + len(s)])
-            pos += len(s)
+    for group, graph in _forward_chunks(params, encoded):
+        out.extend(_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group))
     return out
 
 
@@ -235,13 +244,11 @@ def domain_accuracy(params: m.TaggerParams, sentences: Sequence[Sentence]) -> fl
     """Per-token accuracy of the domain head against the region labels."""
     if not sentences:
         raise DataError("empty subset")
-    encoded = encode_sentences(sentences, params.config)
     correct = total = 0
-    for enc in encoded:
-        graph = m.forward_windows(params, enc.windows)
-        pred = np.argmax(graph.domain_logits.value, axis=1)
-        correct += int((pred == enc.region_id).sum())
-        total += len(enc)
+    for group, graph in _forward_chunks(params, encode_sentences(sentences, params.config)):
+        regions = _region_ids(group)
+        correct += int((np.argmax(graph.domain_logits.value, axis=1) == regions).sum())
+        total += len(regions)
     return correct / total
 
 
@@ -409,28 +416,28 @@ def fit_domain_probe(
     """Retrain only the domain head on frozen features.
 
     Measures how much region information the feature extractor retains;
-    extractor and NER head are left untouched.
+    extractor and NER head are left untouched. The features are computed
+    once; each step trains the head on the rows of its batch's tokens.
     """
     probe = params.copy()
     encoded = encode_sentences(sentences, probe.config)
     if not encoded:
         raise DataError("empty probe training set")
+    features = np.concatenate([g.features.value for _, g in _forward_chunks(probe, encoded)])
+    regions = _region_ids(encoded)
+    token_rows = _per_sentence(np.arange(len(regions)), encoded)
+    head = probe.domain_head
     state = init_adam_state(probe)
     rng = np.random.default_rng(seed)
-    domain_keys = [key for key, _ in probe.items_flat() if key[0] == "domain_head"]
     for _ in range(epochs):
         order = rng.permutation(len(encoded))
         for lo in range(0, len(order), batch_size):
-            batch = [encoded[i] for i in order[lo : lo + batch_size]]
-            windows = np.concatenate([s.windows for s in batch], axis=0)
-            regions = np.concatenate(
-                [np.full(len(s), s.region_id, dtype=np.int64) for s in batch]
-            )
-            graph = m.forward_windows(probe, windows)
-            loss = ad.mean(ad.softmax_cross_entropy(graph.domain_logits, regions))
-            ad.backward(loss)
-            grads = {key: graph.gradient(key) for key in domain_keys}
-            adam_step(probe, grads, state, lr, weight_decay=0.0, keys=domain_keys)
+            rows = np.concatenate([token_rows[i] for i in order[lo : lo + batch_size]])
+            w, b = ad.Node(head["w"]), ad.Node(head["b"])
+            logits = ad.add(ad.matmul(ad.Node(features[rows]), w), b)
+            ad.backward(ad.mean(ad.softmax_cross_entropy(logits, regions[rows])))
+            adam_step(probe, {("domain_head", "w"): w.grad, ("domain_head", "b"): b.grad},
+                      state, lr)
     return probe
 
 
@@ -461,7 +468,6 @@ def inter_regional(
     splits,
     tagger_config: m.TaggerConfig,
     config: TrainConfig,
-    jobs: int = 1,
 ) -> InterRegionalResult:
     """Train one model per region and evaluate it on every region's test
     sentences; the diagonal is the intra-regional score."""
@@ -475,15 +481,10 @@ def inter_regional(
         if not test_by[r]:
             raise DataError(f"region {r.display} has no evaluation sentences")
 
-    def run(region: Region) -> m.TaggerParams:
-        valid = valid_by[region] or test_by[region]
-        return train(train_by[region], valid, tagger_config, config).best_params
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            models = list(pool.map(run, regions))
-    else:
-        models = [run(r) for r in regions]
+    models = [
+        train(train_by[r], valid_by[r] or test_by[r], tagger_config, config).best_params
+        for r in regions
+    ]
     matrix = np.zeros((len(regions), len(regions)))
     for i, trained in enumerate(models):
         for j, eval_region in enumerate(regions):
@@ -497,11 +498,11 @@ def export_embeddings(
 ) -> None:
     """One TSV row per sentence: region name, then the mean feature vector
     over its tokens at six decimal places."""
-    encoded = encode_sentences(sentences, params.config)
     lines = []
-    for sent, enc in zip(sentences, encoded):
-        graph = m.forward_windows(params, enc.windows)
-        mean_h = graph.features.value.mean(axis=0)
-        values = "\t".join(f"{v:.6f}" for v in mean_h)
-        lines.append(f"{sent.region.display}\t{values}")
+    for group, graph in _forward_chunks(params, encode_sentences(sentences, params.config)):
+        for enc, h in zip(group, _per_sentence(graph.features.value, group)):
+            if not len(h):
+                raise DataError("empty sentence")
+            values = "\t".join(f"{v:.6f}" for v in h.mean(axis=0))
+            lines.append(f"{Region(enc.region_id).display}\t{values}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

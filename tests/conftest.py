@@ -1,15 +1,10 @@
 import pytest
 
-from histner.corpus import Document, Region, Sentence, Token
+from histner.corpus import Document, Region, sentence_from_texts
 
 
 def make_sentence(texts, tags, region=Region.BESSARABIA):
-    tokens = []
-    pos = 0
-    for t in texts:
-        tokens.append(Token(t, pos, pos + len(t)))
-        pos += len(t) + 1
-    return Sentence(tokens=tokens, tags=list(tags), region=region)
+    return sentence_from_texts(texts, tags, region)
 
 
 def make_doc(doc_id, sentences, region=None, year=None):

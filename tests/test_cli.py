@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from histner import cli
@@ -229,10 +230,70 @@ class TestCrossRegion:
         out = tmp_path / "xr"
         code = run([
             "crossregion", "--input", corpus_path, "--out", out,
-            "--config", cfg, "--seed", 0, "--jobs", 2,
+            "--config", cfg, "--seed", 0,
         ])
         assert code == 0
         payload = json.loads((out / "crossregion.json").read_text())
         assert len(payload["f1"]) == 4
         assert len(payload["f1"][0]) == 4
         assert payload["regions"][0] == "Bessarabia"
+
+
+_RECORD = {"doc_id": "d", "region": "Moldavia", "tokens": ["Ion", "vine"], "tags": ["B-PERSON", "O"]}
+
+
+def _jsonl_case(*records):
+    """Build a ``validate`` run on a JSONL file holding the given lines."""
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(
+            (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
+        return ["validate", "--input", path]
+    return build
+
+
+def _checkpoint_case(write):
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "bad.npz"
+        write(path)
+        return ["eval", "--input", corpus_file, "--checkpoint", path, "--out", tmp_path / "o"]
+    return build
+
+
+def _config_case(payload):
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps(payload))
+        return ["train", "--input", corpus_file, "--config", path, "--out", tmp_path / "o"]
+    return build
+
+
+MALFORMED = {
+    "record is a JSON array": (_jsonl_case(_RECORD, [1, 2]), "line 2"),
+    "tokens is a string": (_jsonl_case({**_RECORD, "tokens": "Ion", "tags": ["O"] * 3}), "line 1"),
+    "tags hold a number": (_jsonl_case({**_RECORD, "tags": ["B-PERSON", 0]}), "line 1"),
+    "year is a string": (_jsonl_case({**_RECORD, "year": "1900"}), "line 1"),
+    "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
+    "checkpoint is not an npz": (
+        _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),
+    "checkpoint metadata unreadable": (
+        _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(b"{nope", np.uint8))),
+        "bad.npz"),
+    "unknown tagger config key": (
+        _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),
+    "unknown train config key": (
+        _config_case({"train": {"epochs": 1, "warmup": 3}}), "warmup"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED), ids=list(MALFORMED))
+def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
+    build, fragment = MALFORMED[case]
+    argv = build(tmp_path, corpus_file)
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert fragment in errors[0]
+    assert "Traceback" not in err

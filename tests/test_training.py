@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
 from histner.corpus import Region, SplitSpec, iter_sentences, split_dataset
@@ -189,21 +190,21 @@ class TestAdam:
 
     def test_zero_grad_zero_decay_no_change(self):
         params, key, state = self._single(1.5)
-        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1, keys=[key])
+        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1)
         assert params.ner_head["b"][0] == 1.5
         assert state.step == 1
 
     def test_first_step_is_signed_lr(self):
         for g in (0.5, -2.0, 7.3):
             params, key, state = self._single(0.0)
-            T.adam_step(params, {key: np.array([g])}, state, lr=1e-3, keys=[key])
+            T.adam_step(params, {key: np.array([g])}, state, lr=1e-3)
             assert params.ner_head["b"][0] == pytest.approx(-1e-3 * np.sign(g), abs=1e-6)
 
     def test_decoupled_decay_only(self):
         params, key, state = self._single(1.0)
-        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1, weight_decay=0.01, keys=[key])
+        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
         assert params.ner_head["b"][0] == pytest.approx(0.999, abs=1e-15)
-        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1, weight_decay=0.01, keys=[key])
+        T.adam_step(params, {key: np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
         assert params.ner_head["b"][0] == pytest.approx(0.999**2, abs=1e-15)
 
 
@@ -366,6 +367,12 @@ class TestExportEmbeddings:
         assert cells[0] in {r.display for r in Region}
         assert all(len(c.split(".")[1]) == 6 for c in cells[1:])
 
+    def test_empty_sentence_rejected(self, tmp_path):
+        sents = [make_sentence(["unu"], ["O"], Region.MOLDAVIA),
+                 make_sentence([], [], Region.MOLDAVIA)]
+        with pytest.raises(DataError):
+            T.export_embeddings(M.init_params(small_config()), sents, tmp_path / "e.tsv")
+
     def test_identical_sentences_identical_rows(self, tmp_path):
         sent = make_sentence(["unu", "doi"], ["O", "O"], Region.MOLDAVIA)
         twin = make_sentence(["unu", "doi"], ["O", "O"], Region.MOLDAVIA)
@@ -385,3 +392,73 @@ class TestDomainProbe:
         assert np.array_equal(probe.extractor["embed"], params.extractor["embed"])
         assert np.array_equal(probe.ner_head["w"], params.ner_head["w"])
         assert not np.array_equal(probe.domain_head["w"], params.domain_head["w"])
+
+
+# Per-sentence and full-graph loops the chunked inference path replaced,
+# kept as references: the chunked results must equal theirs exactly.
+
+def _reference_domain_accuracy(params, sentences):
+    correct = total = 0
+    for enc in T.encode_sentences(sentences, params.config):
+        pred = np.argmax(M.forward_windows(params, enc.windows).domain_logits.value, axis=1)
+        correct += int((pred == enc.region_id).sum())
+        total += len(enc)
+    return correct / total
+
+
+def _reference_export_embeddings(params, sentences, path):
+    lines = []
+    for sent, enc in zip(sentences, T.encode_sentences(sentences, params.config)):
+        mean_h = M.forward_windows(params, enc.windows).features.value.mean(axis=0)
+        lines.append(sent.region.display + "\t" + "\t".join(f"{v:.6f}" for v in mean_h))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _reference_probe(params, sentences, epochs, lr, batch_size=32, seed=0):
+    """The extractor's full forward and backward on every probe batch."""
+    probe = params.copy()
+    encoded = T.encode_sentences(sentences, probe.config)
+    state = T.init_adam_state(probe)
+    rng = np.random.default_rng(seed)
+    domain_keys = [("domain_head", "w"), ("domain_head", "b")]
+    for _ in range(epochs):
+        order = rng.permutation(len(encoded))
+        for lo in range(0, len(order), batch_size):
+            batch = [encoded[i] for i in order[lo : lo + batch_size]]
+            windows = np.concatenate([s.windows for s in batch], axis=0)
+            regions = np.concatenate([np.full(len(s), s.region_id) for s in batch])
+            graph = M.forward_windows(probe, windows)
+            ad.backward(ad.mean(ad.softmax_cross_entropy(graph.domain_logits, regions)))
+            grads = {key: graph.gradient(key) for key in domain_keys}
+            T.adam_step(probe, grads, state, lr, weight_decay=0.0)
+    return probe
+
+
+@pytest.fixture(scope="module")
+def trained_two_domain():
+    """A briefly trained benchmark-shaped tagger and 150 two-domain
+    sentences: enough for several inference chunks and probe batches."""
+    splits = two_domain_corpus(0)
+    sents = list(iter_sentences(splits.train))[::2]
+    config = M.TaggerConfig(vocab_size=4096, embed_dim=32, hidden_dim=64, seed=0)
+    result = T.train(sents, sents[:20], config, T.TrainConfig(epochs=1, lr=2e-3, seed=0))
+    return result.best_params, sents
+
+
+class TestChunkedInferenceMatchesReference:
+    def test_domain_accuracy(self, trained_two_domain):
+        params, sents = trained_two_domain
+        assert T.domain_accuracy(params, sents) == _reference_domain_accuracy(params, sents)
+
+    def test_export_embeddings_bytes(self, trained_two_domain, tmp_path):
+        params, sents = trained_two_domain
+        T.export_embeddings(params, sents, tmp_path / "chunked.tsv")
+        _reference_export_embeddings(params, sents, tmp_path / "reference.tsv")
+        assert (tmp_path / "chunked.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+    def test_frozen_feature_probe_head_bitwise(self, trained_two_domain):
+        params, sents = trained_two_domain
+        probe = T.fit_domain_probe(params, sents, epochs=3, lr=7e-3, seed=1)
+        reference = _reference_probe(params, sents, epochs=3, lr=7e-3, seed=1)
+        for name in ("w", "b"):
+            assert np.array_equal(probe.domain_head[name], reference.domain_head[name]), name
