@@ -758,17 +758,24 @@ _RELEASE_FILES = {
 
 
 def _release_sentence(obj: dict, line_no: int, fallback_id: str) -> dict:
+    if not isinstance(obj, dict):
+        raise DataError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
     tokens = obj.get("tokens")
     if tokens is None:
         raise DataError(f"line {line_no}: no 'tokens' field")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise DataError(f"line {line_no}: 'tokens' must be a list of strings")
     tags = obj.get("ner_tags", obj.get("tags"))
     if tags is None:
         raise DataError(f"line {line_no}: no 'ner_tags'/'tags' field")
-    if tags and isinstance(tags[0], int):
-        try:
-            tags = [TAG_ALPHABET[i] for i in tags]
-        except IndexError:
+    if not isinstance(tags, list):
+        raise DataError(f"line {line_no}: tags must be a list")
+    if tags and all(type(t) is int for t in tags):
+        if not all(0 <= t < len(TAG_ALPHABET) for t in tags):
             raise DataError(f"line {line_no}: tag index outside the 11-tag alphabet")
+        tags = [TAG_ALPHABET[i] for i in tags]
+    elif not all(isinstance(t, str) for t in tags):
+        raise DataError(f"line {line_no}: tags must all be strings or all tag indices")
     region = obj.get("region", obj.get("region_id"))
     if region is None:
         raise DataError(f"line {line_no}: no 'region' field")
@@ -776,8 +783,8 @@ def _release_sentence(obj: dict, line_no: int, fallback_id: str) -> dict:
     return {
         "doc_id": str(doc_id),
         "region": Region.parse(region).display,
-        "tokens": [str(t) for t in tokens],
-        "tags": [str(t) for t in tags],
+        "tokens": tokens,
+        "tags": tags,
         **({"year": obj["year"]} if obj.get("year") is not None else {}),
     }
 

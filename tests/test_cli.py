@@ -283,6 +283,13 @@ MALFORMED = {
         _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),
     "unknown train config key": (
         _config_case({"train": {"epochs": 1, "warmup": 3}}), "warmup"),
+    "train config int is a string": (_config_case({"train": {"epochs": "2"}}), "epochs"),
+    "train config int is a float": (_config_case({"train": {"batch_size": 8.0}}), "batch_size"),
+    "train config float is a bool": (_config_case({"train": {"lr": True}}), "lr"),
+    "train config mode is a number": (_config_case({"train": {"mode": 1}}), "mode"),
+    "negative weight decay": (_config_case({"train": {"weight_decay": -0.1}}), "weight_decay"),
+    "tagger config int is a string": (_config_case({"tagger": {"hidden_dim": "16"}}), "hidden_dim"),
+    "tagger config int is a bool": (_config_case({"tagger": {"embed_dim": True}}), "embed_dim"),
 }
 
 

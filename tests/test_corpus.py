@@ -476,6 +476,9 @@ class TestBratDocument:
             C.document_from_brat("d", Region.MOLDAVIA, text, ann)
 
 
+_RELEASE_ROW = {"tokens": ["Ion", "merge"], "ner_tags": [1, 0], "region": "Moldavia"}
+
+
 class TestHistneroAdapter:
     def test_reads_release_layout(self, tmp_path):
         row = {
@@ -490,6 +493,24 @@ class TestHistneroAdapter:
         sent = splits.train[0].sentences[0]
         assert sent.tags == ["B-PERSON", "O"]
         assert sent.region == Region.MOLDAVIA
+
+    @pytest.mark.parametrize("record", [
+        {**_RELEASE_ROW, "tokens": "Ion"},
+        {**_RELEASE_ROW, "tokens": ["Ion", 7]},
+        {**_RELEASE_ROW, "ner_tags": "O"},
+        {**_RELEASE_ROW, "ner_tags": [1, "O"]},
+        {**_RELEASE_ROW, "ner_tags": [-1, 0]},
+        {**_RELEASE_ROW, "ner_tags": [True, False]},
+        [1, 2],
+    ], ids=["tokens string", "token number", "tags string", "tags mixed",
+            "negative tag index", "tags bool", "record is an array"])
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+        (tmp_path / "valid.json").write_text(
+            json.dumps(_RELEASE_ROW) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            C.load_histnero(tmp_path)
 
     def test_missing_part(self, tmp_path):
         (tmp_path / "train.json").write_text("{}")

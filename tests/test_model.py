@@ -4,7 +4,7 @@ import pytest
 from histner import autodiff as ad
 from histner import model as M
 from histner.corpus import TAG_ALPHABET
-from histner.errors import ConfigError, DataError
+from histner.errors import ConfigError, DataError, NonFiniteError, ShapeError
 
 SMALL = dict(vocab_size=512, embed_dim=8, hidden_dim=16, context_window=2)
 
@@ -30,6 +30,16 @@ class TestConfig:
     def test_tag_count_pinned(self):
         with pytest.raises(ConfigError):
             M.TaggerConfig(n_tags=9).validate()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(vocab_size="512"), dict(embed_dim=8.0), dict(hidden_dim=True), dict(seed=None),
+    ])
+    def test_wrong_type_names_the_field(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            M.TaggerConfig(**kwargs).validate()
+
+    def test_numpy_integers_accepted(self):
+        M.TaggerConfig(seed=np.int64(3), vocab_size=np.int32(64)).validate()
 
 
 class TestInitParams:
@@ -137,6 +147,63 @@ class TestForward:
         ad.backward(loss_dom)
         assert not graph.gradient(("ner_head", "w")).any()
         assert not graph.gradient(("ner_head", "b")).any()
+
+
+class TestGatherBoundary:
+    """The window rows are gathered from the table outside the graph."""
+
+    @pytest.mark.parametrize("bad_id", [-1, SMALL["vocab_size"] + 1])
+    def test_id_outside_table_rejected(self, bad_id):
+        params = M.init_params(small_config())
+        win = M.window_matrix(M.featurize(["unu", "doi"], 512), 2, params.config.pad_id)
+        win[1, 3] = bad_id
+        with pytest.raises(ShapeError):
+            M.forward_windows(params, win)
+
+    def test_pad_id_accepted(self):
+        params = M.init_params(small_config())
+        win = np.full((1, 5), params.config.pad_id)
+        assert M.forward_windows(params, win).features.shape == (1, SMALL["hidden_dim"])
+
+    def test_nan_in_unread_row_rejected(self):
+        params = M.init_params(small_config())
+        ids = M.featurize(["unu", "doi"], 512)
+        win = M.window_matrix(ids, 2, params.config.pad_id)
+        unread = next(r for r in range(512) if r not in set(win.ravel().tolist()))
+        params.extractor["embed"][unread, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            M.forward_windows(params, win)
+
+    def test_embed_gradient_densifies_to_gradient(self):
+        params = M.init_params(small_config())
+        graph = M.forward(params, M.featurize(["unu", "doi", "unu"], 512))
+        ad.backward(ad.mean(ad.softmax_cross_entropy(graph.ner_logits, np.array([0, 1, 2]))))
+        sparse = graph.embed_gradient()
+        dense = graph.gradient(M.EMBED)
+        assert sparse.rows.tolist() == sorted(set(graph.win_ids.ravel().tolist()))
+        assert np.array_equal(sparse.dense(), dense)
+        assert not np.delete(dense, sparse.rows, axis=0).any()
+
+
+class TestRowSparse:
+    @pytest.mark.parametrize("n_rows,width", [(7, 3), (513, 8), (4097, 6), (32769, 64)])
+    def test_squared_sum_is_numpy_dense_sum_bitwise(self, n_rows, width):
+        # numpy's pairwise summation makes the dense sum depend on where the
+        # rows sit; the row-sparse sum must reproduce it exactly
+        rng = np.random.default_rng(n_rows)
+        for _ in range(20):
+            rows = rng.choice(n_rows, size=int(rng.integers(1, min(n_rows, 150))), replace=False)
+            ends = np.array([0, n_rows - 1][: int(rng.integers(3))], dtype=np.int64)
+            rows = np.unique(np.concatenate([rows, ends]))
+            values = rng.normal(size=(len(rows), width)) * 10.0 ** rng.integers(-6, 3)
+            grad = M.RowSparse(rows, values, n_rows)
+            dense = grad.dense()
+            assert grad.squared_sum() == float((dense * dense).sum())
+
+    def test_empty(self):
+        grad = M.RowSparse(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 10)
+        assert grad.squared_sum() == 0.0
+        assert not grad.dense().any()
 
 
 class TestPredict:

@@ -55,11 +55,24 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(mode="other"), dict(lam=-0.1), dict(clip_norm=0.0), dict(epochs=0), dict(lr=0.0)],
+        [dict(mode="other"), dict(lam=-0.1), dict(clip_norm=0.0), dict(epochs=0), dict(lr=0.0),
+         dict(weight_decay=-0.01)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             T.TrainConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(epochs="2"), dict(epochs=2.0), dict(batch_size=True), dict(lr="1e-3"),
+         dict(weight_decay=False), dict(mode=None), dict(seed=1.5)],
+    )
+    def test_wrong_type_names_the_field(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            T.TrainConfig(**kwargs).validate()
+
+    def test_int_accepted_for_float(self):
+        T.TrainConfig(lr=1, weight_decay=0, clip_norm=np.float64(2.0)).validate()
 
 
 class TestComputeLosses:
@@ -199,6 +212,20 @@ class TestAdam:
             params, key, state = self._single(0.0)
             T.adam_step(params, {key: np.array([g])}, state, lr=1e-3)
             assert params.ner_head["b"][0] == pytest.approx(-1e-3 * np.sign(g), abs=1e-6)
+
+    def test_untouched_rows_only_decay(self):
+        params = M.init_params(small_config())
+        state = T.init_adam_state(params)
+        table = params.extractor["embed"]
+        before = table.copy()
+        rows = np.array([3, 17, 512])
+        grad = M.RowSparse(rows, np.ones((3, SMALL["embed_dim"])), len(table))
+        T.adam_step(params, {M.EMBED: grad}, state, lr=0.1, weight_decay=0.01)
+        untouched = np.setdiff1d(np.arange(len(table)), rows)
+        decayed = before - 0.1 * 0.01 * before
+        assert np.array_equal(table[untouched], decayed[untouched])
+        assert not np.array_equal(table[rows], decayed[rows])
+        assert state.touched[M.EMBED].tolist() == rows.tolist()
 
     def test_decoupled_decay_only(self):
         params, key, state = self._single(1.0)
@@ -462,3 +489,90 @@ class TestChunkedInferenceMatchesReference:
         reference = _reference_probe(params, sents, epochs=3, lr=7e-3, seed=1)
         for name in ("w", "b"):
             assert np.array_equal(probe.domain_head[name], reference.domain_head[name]), name
+
+
+# The dense training step the row-sparse embedding boundary replaced, kept
+# as a reference: a per-slot lookup + concat graph over the whole table, a
+# clip norm over the dense table gradient, and Adam over every row. The
+# row-sparse step must reproduce it bitwise.
+
+def _reference_gradients(params, batch, mode, lam):
+    leaves = {key: ad.Node(arr) for key, arr in params.items_flat()}
+    windows = np.concatenate([s.windows for s in batch], axis=0)
+    slots = [ad.embedding_lookup(leaves[M.EMBED], windows[:, j])
+             for j in range(windows.shape[1])]
+    h = ad.tanh(ad.add(ad.matmul(ad.concat(slots, axis=1), leaves[("extractor", "w_hidden")]),
+                       leaves[("extractor", "b_hidden")]))
+    ner = ad.add(ad.matmul(h, leaves[("ner_head", "w")]), leaves[("ner_head", "b")])
+    h_domain = ad.scale_gradient(h, -lam) if mode == "grad_rev" else h
+    dom = ad.add(ad.matmul(h_domain, leaves[("domain_head", "w")]), leaves[("domain_head", "b")])
+    l_y = ad.mean(ad.softmax_cross_entropy(ner, np.concatenate([s.tag_ids for s in batch])))
+    regions = np.concatenate([np.full(len(s), s.region_id) for s in batch])
+    l_d = ad.mean(ad.softmax_cross_entropy(dom, regions))
+    if mode == "baseline":
+        ad.backward(l_y)
+    elif mode == "grad_rev":
+        ad.backward(ad.add(l_y, l_d))
+    else:
+        ad.backward(ad.sub(l_y, ad.mul(l_d, lam)))
+    return {key: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+            for key, leaf in leaves.items()}
+
+
+def _reference_train(train_s, tagger_config, config):
+    """Final parameters of ``train`` with the dense step, and the number of
+    steps on which clipping fired."""
+    params = M.init_params(tagger_config)
+    encoded = T.encode_sentences(train_s, tagger_config)
+    m1 = {key: np.zeros_like(arr) for key, arr in params.items_flat()}
+    m2 = {key: np.zeros_like(arr) for key, arr in params.items_flat()}
+    rng = np.random.default_rng(config.seed)
+    t = clipped = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(encoded))
+        for lo in range(0, len(order), config.batch_size):
+            batch = [encoded[i] for i in order[lo : lo + config.batch_size]]
+            grads = _reference_gradients(params, batch, config.mode, config.lam)
+            norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            if norm > config.clip_norm:
+                clipped += 1
+                grads = {key: g * (config.clip_norm / norm) for key, g in grads.items()}
+            t += 1
+            arrays = dict(params.items_flat())
+            for key, g in grads.items():
+                arr = arrays[key]
+                arr -= config.lr * config.weight_decay * arr
+                m1[key] = 0.9 * m1[key] + (1 - 0.9) * g
+                m2[key] = 0.999 * m2[key] + (1 - 0.999) * g * g
+                m_hat = m1[key] / (1 - 0.9 ** t)
+                v_hat = m2[key] / (1 - 0.999 ** t)
+                arr -= config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params, clipped
+
+
+class TestRowSparseStepMatchesDenseReference:
+    @pytest.mark.parametrize("mode", T.MODES)
+    def test_trained_parameters_bitwise(self, mode):
+        corpus = separable_corpus(6, n_sentences=60, vocab_size=2048)
+        train_s, valid_s, _ = _split_sentences(corpus)
+        tagger_config = M.TaggerConfig(vocab_size=2048, embed_dim=8, hidden_dim=16, seed=2)
+        config = T.TrainConfig(mode=mode, epochs=3, lr=5e-3, weight_decay=0.05,
+                               batch_size=8, clip_norm=1.1, lam=0.3, seed=4)
+        reference, clipped = _reference_train(train_s, tagger_config, config)
+        steps = config.epochs * -(-len(train_s) // config.batch_size)
+        assert 0 < clipped < steps
+        trained = T.train(train_s, valid_s, tagger_config, config).final_params
+        for (key, got), (_, want) in zip(trained.items_flat(), reference.items_flat()):
+            assert np.array_equal(got, want), key
+
+    @pytest.mark.parametrize("mode", T.MODES)
+    def test_compute_losses_gradients_bitwise(self, mode):
+        rng = np.random.default_rng(7)
+        config = small_config()
+        params = M.init_params(config)
+        batch = random_batch(rng, config, n_sentences=6)
+        _, grads = T.compute_losses(params, batch, mode, 0.2)
+        reference = _reference_gradients(params, batch, mode, 0.2)
+        assert list(grads) == list(reference)
+        for key in reference:
+            assert np.array_equal(grads[key], reference[key]), key
