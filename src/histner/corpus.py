@@ -763,19 +763,13 @@ def _release_sentence(obj: dict, line_no: int, fallback_id: str) -> dict:
     tokens = obj.get("tokens")
     if tokens is None:
         raise DataError(f"line {line_no}: no 'tokens' field")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise DataError(f"line {line_no}: 'tokens' must be a list of strings")
     tags = obj.get("ner_tags", obj.get("tags"))
     if tags is None:
         raise DataError(f"line {line_no}: no 'ner_tags'/'tags' field")
-    if not isinstance(tags, list):
-        raise DataError(f"line {line_no}: tags must be a list")
-    if tags and all(type(t) is int for t in tags):
+    if isinstance(tags, list) and tags and all(type(t) is int for t in tags):
         if not all(0 <= t < len(TAG_ALPHABET) for t in tags):
             raise DataError(f"line {line_no}: tag index outside the 11-tag alphabet")
         tags = [TAG_ALPHABET[i] for i in tags]
-    elif not all(isinstance(t, str) for t in tags):
-        raise DataError(f"line {line_no}: tags must all be strings or all tag indices")
     region = obj.get("region", obj.get("region_id"))
     if region is None:
         raise DataError(f"line {line_no}: no 'region' field")

@@ -198,7 +198,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    #: Rows of each row-sparse parameter that have ever had a gradient.
+    #: Per row-sparse parameter, a mask of the rows that have ever had a
+    #: gradient.
     touched: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
@@ -208,6 +209,12 @@ def init_adam_state(params: m.TaggerParams) -> AdamState:
         v={key: np.zeros_like(arr) for key, arr in params.items_flat()},
     )
 
+
+#: A row-sparse gradient updates only the ever-touched rows while they are
+#: at most this share of the table; above it the whole table is updated.
+#: Both give the same bits. On a 2-vCPU Xeon host, Adam on a 2^15 x 64
+#: table costs the same both ways at a share of about one half.
+_SPARSE_SHARE = 0.5
 
 #: Elements per block of the weight decay, so that a block's product stays
 #: in cache: on a 2-vCPU Xeon host the decay of a 2^15 x 64 table takes
@@ -245,9 +252,10 @@ def adam_step(
     decoupled and applied before the moment update.
 
     A ``RowSparse`` gradient updates the moments and the parameter on the
-    rows that have ever had a gradient. Every other row has zero moments
-    and a zero gradient, so its dense update is exactly 0; only the decay,
-    which stays dense, moves it.
+    rows that have ever had a gradient, while they are at most
+    ``_SPARSE_SHARE`` of the table; beyond that, on the whole table. Every
+    other row has zero moments and a zero gradient, so its dense update is
+    exactly 0; only the decay, which stays dense, moves it.
     """
     state.step += 1
     arrays = dict(params.items_flat())
@@ -259,20 +267,23 @@ def adam_step(
             raise DataError(f"gradient shape {shape} != param shape {arr.shape} for {key}")
         if weight_decay:
             _decay(arr, lr * weight_decay)
-        if not sparse:
-            state.m[key], state.v[key], update = _moments_and_update(
-                state, state.m[key], state.v[key], grad, lr)
-            arr -= update
-            continue
-        rows = np.union1d(state.touched.get(key, grad.rows), grad.rows)
-        state.touched[key] = rows
-        row_grad = np.zeros((len(rows), *arr.shape[1:]))
-        row_grad[np.searchsorted(rows, grad.rows)] = grad.values
-        m_rows, v_rows, update = _moments_and_update(
-            state, state.m[key][rows], state.v[key][rows], row_grad, lr)
-        state.m[key][rows] = m_rows
-        state.v[key][rows] = v_rows
-        arr[rows] -= update
+        if sparse:
+            touched = state.touched.setdefault(key, np.zeros(len(arr), dtype=bool))
+            touched[grad.rows] = True
+            rows = np.flatnonzero(touched)
+            if len(rows) <= _SPARSE_SHARE * len(arr):
+                row_grad = np.zeros((len(rows), *arr.shape[1:]))
+                row_grad[np.searchsorted(rows, grad.rows)] = grad.values
+                m_rows, v_rows, update = _moments_and_update(
+                    state, state.m[key][rows], state.v[key][rows], row_grad, lr)
+                state.m[key][rows] = m_rows
+                state.v[key][rows] = v_rows
+                arr[rows] -= update
+                continue
+            grad = grad.dense()
+        state.m[key], state.v[key], update = _moments_and_update(
+            state, state.m[key], state.v[key], grad, lr)
+        arr -= update
 
 
 # ---------------------------------------------------------------------------

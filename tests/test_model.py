@@ -198,7 +198,9 @@ class TestRowSparse:
             values = rng.normal(size=(len(rows), width)) * 10.0 ** rng.integers(-6, 3)
             grad = M.RowSparse(rows, values, n_rows)
             dense = grad.dense()
-            assert grad.squared_sum() == float((dense * dense).sum())
+            assert grad.squared_sum() == float((dense * dense).sum()), (
+                f"numpy {np.__version__} sums in another order than the one "
+                "RowSparse.squared_sum copies (checked on numpy 2.4.6)")
 
     def test_empty(self):
         grad = M.RowSparse(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 10)

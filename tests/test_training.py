@@ -225,7 +225,7 @@ class TestAdam:
         decayed = before - 0.1 * 0.01 * before
         assert np.array_equal(table[untouched], decayed[untouched])
         assert not np.array_equal(table[rows], decayed[rows])
-        assert state.touched[M.EMBED].tolist() == rows.tolist()
+        assert np.flatnonzero(state.touched[M.EMBED]).tolist() == rows.tolist()
 
     def test_decoupled_decay_only(self):
         params, key, state = self._single(1.0)
@@ -551,19 +551,35 @@ def _reference_train(train_s, tagger_config, config):
 
 
 class TestRowSparseStepMatchesDenseReference:
+    # The corpus has 45 word types: at vocab 2048 Adam stays on the touched
+    # rows; at vocab 64 they pass half the table during the first epoch and
+    # Adam switches to the whole table.
     @pytest.mark.parametrize("mode", T.MODES)
-    def test_trained_parameters_bitwise(self, mode):
-        corpus = separable_corpus(6, n_sentences=60, vocab_size=2048)
+    @pytest.mark.parametrize("vocab_size", [2048, 64], ids=["sparse", "sparse-then-dense"])
+    def test_trained_parameters_bitwise(self, mode, vocab_size, monkeypatch):
+        corpus = separable_corpus(6, n_sentences=60, vocab_size=vocab_size)
         train_s, valid_s, _ = _split_sentences(corpus)
-        tagger_config = M.TaggerConfig(vocab_size=2048, embed_dim=8, hidden_dim=16, seed=2)
+        tagger_config = M.TaggerConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=16, seed=2)
         config = T.TrainConfig(mode=mode, epochs=3, lr=5e-3, weight_decay=0.05,
                                batch_size=8, clip_norm=1.1, lam=0.3, seed=4)
         reference, clipped = _reference_train(train_s, tagger_config, config)
         steps = config.epochs * -(-len(train_s) // config.batch_size)
         assert 0 < clipped < steps
+        updated = []  # rows of the table each Adam step updated
+        moments_and_update = T._moments_and_update
+
+        def spy(state, m_prev, v_prev, grad, lr):
+            if grad.shape[1:] == (tagger_config.embed_dim,):
+                updated.append(len(grad))
+            return moments_and_update(state, m_prev, v_prev, grad, lr)
+
+        monkeypatch.setattr(T, "_moments_and_update", spy)
         trained = T.train(train_s, valid_s, tagger_config, config).final_params
         for (key, got), (_, want) in zip(trained.items_flat(), reference.items_flat()):
             assert np.array_equal(got, want), key
+        whole_table = updated.count(vocab_size + 1)
+        assert len(updated) == steps and whole_table < steps
+        assert (whole_table > 0) == (vocab_size == 64)
 
     @pytest.mark.parametrize("mode", T.MODES)
     def test_compute_losses_gradients_bitwise(self, mode):
