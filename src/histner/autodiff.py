@@ -144,16 +144,6 @@ def tanh(x: Node) -> Node:
     return Node(out_value, (x,), bw, "tanh")
 
 
-def relu(x: Node) -> Node:
-    out_value = np.maximum(x.value, 0.0)
-
-    def bw(g):
-        # subgradient at 0 fixed to 0
-        x.grad += g * (out_value > 0.0)
-
-    return Node(out_value, (x,), bw, "relu")
-
-
 def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
     if not nodes:
         raise ShapeError("concat: no inputs")
@@ -204,47 +194,29 @@ def embedding_lookup(table: Node, ids) -> Node:
 
 
 def softmax_cross_entropy(logits: Node, targets) -> Node:
-    """Cross entropy of softmax(logits) against integer targets.
-
-    For a (n, C) logits matrix and (n,) targets, returns the (n,) loss
-    vector; for a single (C,) row and an int target, a scalar.
-    """
+    """Cross entropy of softmax(logits) against integer targets: for a
+    (n, C) logits matrix and (n,) targets, the (n,) loss vector."""
+    _require_2d(logits, "softmax_cross_entropy")
     v = logits.value
-    if v.ndim == 1:
-        tid = int(targets)
-        if not 0 <= tid < v.shape[0]:
-            raise ShapeError(f"softmax_cross_entropy: target {tid} out of range")
-        shifted = v - v.max()
-        lse = np.log(np.exp(shifted).sum())
-        probs = np.exp(shifted - lse)
+    t = np.asarray(targets, dtype=np.int64)
+    if t.shape != (v.shape[0],):
+        raise ShapeError(
+            f"softmax_cross_entropy: targets shape {t.shape} for logits {v.shape}"
+        )
+    if t.size and (t.min() < 0 or t.max() >= v.shape[1]):
+        raise ShapeError("softmax_cross_entropy: target index out of range")
+    shifted = v - v.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - lse
+    rows = np.arange(v.shape[0])
+    probs = np.exp(logp)
 
-        def bw(g):
-            delta = probs.copy()
-            delta[tid] -= 1.0
-            logits.grad += delta * g
+    def bw(g):
+        delta = probs.copy()
+        delta[rows, t] -= 1.0
+        logits.grad += delta * g[:, None]
 
-        return Node(lse - shifted[tid], (logits,), bw, "softmax_cross_entropy")
-    if v.ndim == 2:
-        t = np.asarray(targets, dtype=np.int64)
-        if t.shape != (v.shape[0],):
-            raise ShapeError(
-                f"softmax_cross_entropy: targets shape {t.shape} for logits {v.shape}"
-            )
-        if t.size and (t.min() < 0 or t.max() >= v.shape[1]):
-            raise ShapeError("softmax_cross_entropy: target index out of range")
-        shifted = v - v.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        logp = shifted - lse
-        rows = np.arange(v.shape[0])
-        probs = np.exp(logp)
-
-        def bw2(g):
-            delta = probs.copy()
-            delta[rows, t] -= 1.0
-            logits.grad += delta * g[:, None]
-
-        return Node(-logp[rows, t], (logits,), bw2, "softmax_cross_entropy")
-    raise ShapeError(f"softmax_cross_entropy: logits must be 1-D or 2-D, got {v.shape}")
+    return Node(-logp[rows, t], (logits,), bw, "softmax_cross_entropy")
 
 
 def scale_gradient(x: Node, factor: float) -> Node:
@@ -271,7 +243,7 @@ def finite_difference_check(
     ``f`` builds a scalar loss from leaf nodes. ``coords`` selects
     (param_index, flat_index) coordinates to probe; default is all of
     them. Relative error uses max(|a|, |b|, 1e-8) as denominator.
-    Points where f is non-finite raise; sampling must avoid relu kinks.
+    Points where f is non-finite raise.
     """
     base = [np.asarray(p, dtype=np.float64).copy() for p in params]
     leaves = [Node(p.copy()) for p in base]

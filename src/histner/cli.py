@@ -57,10 +57,6 @@ def _ensure_out(args) -> Path:
     return out
 
 
-def _load_corpus(path: str) -> corpus.Corpus:
-    return corpus.load_jsonl(path)
-
-
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -114,7 +110,7 @@ def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     stats = corpus.corpus_stats(docs)
     rows = []
     for label in corpus.EntityLabel:
@@ -140,7 +136,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     violations = corpus.validate_corpus(docs)
     if args.out:
         out = _ensure_out(args)
@@ -190,7 +186,7 @@ def cmd_convert(args) -> int:
             ))
         docs.sort(key=lambda d: d.id)
     else:
-        docs = _load_corpus(args.input)
+        docs = corpus.load_jsonl(args.input)
         inputs.append(Path(args.input))
     if args.target_format == "jsonl":
         target = out / "corpus.jsonl"
@@ -207,7 +203,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_split(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     splits = _split_corpus(args, docs)
     out = _ensure_out(args)
     for name, part in splits.parts().items():
@@ -221,8 +217,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_iaa(args) -> int:
-    layer_a = _load_corpus(args.input)
-    layer_b = _load_corpus(args.input_b)
+    layer_a = corpus.load_jsonl(args.input)
+    layer_b = corpus.load_jsonl(args.input_b)
     report = metrics.iaa_report(layer_a, layer_b)
     print(report.render_text())
     if args.out:
@@ -234,7 +230,7 @@ def cmd_iaa(args) -> int:
 
 
 def cmd_tfidf(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     ranking = analysis.tfidf_top_k(docs, args.k)
     tsv = analysis.render_tsv(ranking)
     print(tsv, end="")
@@ -247,7 +243,7 @@ def cmd_tfidf(args) -> int:
 
 
 def cmd_train(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.train(
@@ -273,7 +269,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     params = model.TaggerParams.load(args.checkpoint)
     report = training.evaluate(params, _sentences(docs))
     out = _ensure_out(args)
@@ -286,7 +282,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_crossregion(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.inter_regional(splits, tagger_cfg, train_cfg)
@@ -306,7 +302,7 @@ def cmd_crossregion(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    docs = _load_corpus(args.input)
+    docs = corpus.load_jsonl(args.input)
     params = model.TaggerParams.load(args.checkpoint)
     out = _ensure_out(args)
     target = out / "embeddings.tsv"

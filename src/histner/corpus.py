@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -711,21 +711,33 @@ def _record_fields(obj) -> tuple[str, int | None, Sentence]:
     return str(obj["doc_id"]), year, sentence
 
 
-def loads_jsonl(content: str) -> Corpus:
-    docs: dict[str, Document] = {}
+def _json_lines(content: str) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's number and parsed JSON value."""
     for line_no, line in enumerate(content.splitlines(), start=1):
-        if not line.strip():
-            continue
+        if line.strip():
+            try:
+                yield line_no, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+
+
+def _corpus_from_records(records: Iterable[tuple[int, object]]) -> Corpus:
+    """Documents from ``(line number, record)`` pairs in order; a record's
+    error carries its line number."""
+    docs: dict[str, Document] = {}
+    for line_no, obj in records:
         try:
-            doc_id, year, sent = _record_fields(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON ({exc.msg})")
+            doc_id, year, sent = _record_fields(obj)
         except DataError as exc:
             raise DataError(f"line {line_no}: {exc}") from exc
         if doc_id not in docs:
             docs[doc_id] = Document(id=doc_id, region=sent.region, sentences=[], year=year)
         docs[doc_id].sentences.append(sent)
     return list(docs.values())
+
+
+def loads_jsonl(content: str) -> Corpus:
+    return _corpus_from_records(_json_lines(content))
 
 
 def load_jsonl(path: str | Path) -> Corpus:
@@ -757,7 +769,9 @@ _RELEASE_FILES = {
 }
 
 
-def _release_sentence(obj: dict, line_no: int, fallback_id: str) -> dict:
+def _release_record(obj, line_no: int, fallback_id: str):
+    """A release record in the JSONL record schema; ``_record_fields``
+    checks the rest."""
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
     tokens = obj.get("tokens")
@@ -774,13 +788,8 @@ def _release_sentence(obj: dict, line_no: int, fallback_id: str) -> dict:
     if region is None:
         raise DataError(f"line {line_no}: no 'region' field")
     doc_id = obj.get("doc_id", obj.get("document", obj.get("id", fallback_id)))
-    return {
-        "doc_id": str(doc_id),
-        "region": Region.parse(region).display,
-        "tokens": tokens,
-        "tags": tags,
-        **({"year": obj["year"]} if obj.get("year") is not None else {}),
-    }
+    return {"doc_id": doc_id, "region": region, "tokens": tokens, "tags": tags,
+            "year": obj.get("year")}
 
 
 def load_histnero(directory: str | Path) -> Splits:
@@ -800,19 +809,14 @@ def load_histnero(directory: str | Path) -> Splits:
                 break
         if path is None:
             raise DataError(f"no {part} file found in {directory}")
-        text = path.read_text(encoding="utf-8").strip()
-        if text.startswith("["):
-            rows = json.loads(text)
-            records = [
-                _release_sentence(obj, i + 1, f"{part}-{i:05d}")
-                for i, obj in enumerate(rows)
-            ]
+        text = path.read_text(encoding="utf-8")
+        if text.lstrip().startswith("["):
+            try:
+                rows = enumerate(json.loads(text), start=1)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: invalid JSON ({exc})") from None
         else:
-            records = [
-                _release_sentence(json.loads(line), i + 1, f"{part}-{i:05d}")
-                for i, line in enumerate(text.splitlines())
-                if line.strip()
-            ]
-        content = "\n".join(json.dumps(r, ensure_ascii=False) for r in records)
-        parts[part] = loads_jsonl(content)
+            rows = _json_lines(text)
+        parts[part] = _corpus_from_records(
+            (n, _release_record(obj, n, f"{part}-{n - 1:05d}")) for n, obj in rows)
     return Splits(train=parts["train"], valid=parts["valid"], test=parts["test"])

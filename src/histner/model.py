@@ -57,8 +57,6 @@ class TaggerConfig:
     embed_dim: int = 64
     hidden_dim: int = 128
     context_window: int = 2
-    n_tags: int = len(TAG_ALPHABET)
-    n_domains: int = len(Region)
     seed: int = 0
 
     def validate(self):
@@ -66,10 +64,6 @@ class TaggerConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "context_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_tags != len(TAG_ALPHABET):
-            raise ConfigError(f"n_tags is fixed to {len(TAG_ALPHABET)}")
-        if self.n_domains != len(Region):
-            raise ConfigError(f"n_domains is fixed to {len(Region)}")
 
     @property
     def input_dim(self) -> int:
@@ -135,7 +129,12 @@ class TaggerParams:
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 if meta["version"] != CHECKPOINT_VERSION:
                     raise DataError(f"{path}: unsupported checkpoint version {meta['version']}")
-                config = TaggerConfig(**meta["config"])
+                values = dict(meta["config"])
+                # older checkpoints record the two fixed head sizes
+                for key, size in (("n_tags", len(TAG_ALPHABET)), ("n_domains", len(Region))):
+                    if values.pop(key, size) != size:
+                        raise DataError(f"{path}: checkpoint {key} is not {size}")
+                config = TaggerConfig(**values)
             except (ValueError, TypeError, KeyError) as exc:
                 raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
             params = init_params(config)
@@ -167,12 +166,12 @@ def init_params(config: TaggerConfig) -> TaggerParams:
         "b_hidden": np.zeros(config.hidden_dim),
     }
     ner_head = {
-        "w": uniform((config.hidden_dim, config.n_tags), config.hidden_dim),
-        "b": np.zeros(config.n_tags),
+        "w": uniform((config.hidden_dim, len(TAG_ALPHABET)), config.hidden_dim),
+        "b": np.zeros(len(TAG_ALPHABET)),
     }
     domain_head = {
-        "w": uniform((config.hidden_dim, config.n_domains), config.hidden_dim),
-        "b": np.zeros(config.n_domains),
+        "w": uniform((config.hidden_dim, len(Region)), config.hidden_dim),
+        "b": np.zeros(len(Region)),
     }
     return TaggerParams(config, extractor, ner_head, domain_head)
 
@@ -341,12 +340,7 @@ def forward(params: TaggerParams, ids: np.ndarray,
     return forward_windows(params, win, domain_grad_scale)
 
 
-def predict_tag_ids(params: TaggerParams, ids: np.ndarray) -> np.ndarray:
-    graph = forward(params, ids)
-    return np.argmax(graph.ner_logits.value, axis=1)
-
-
 def predict_tags(params: TaggerParams, token_texts: Sequence[str]) -> list[str]:
     """Argmax NER tags for one sentence of raw token strings."""
-    ids = featurize(token_texts, params.config.vocab_size)
-    return [TAG_ALPHABET[i] for i in predict_tag_ids(params, ids)]
+    graph = forward(params, featurize(token_texts, params.config.vocab_size))
+    return [TAG_ALPHABET[i] for i in np.argmax(graph.ner_logits.value, axis=1)]

@@ -25,12 +25,12 @@ entities, shared vocabulary, first pass emits every type once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus, Document, Region, Sentence, Splits, sentence_from_texts
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import TaggerConfig, featurize
 from .training import (
     TrainConfig,
@@ -48,6 +48,9 @@ SOURCE_DOMAIN = Region.BESSARABIA
 TARGET_DOMAIN = Region.TRANSYLVANIA
 
 ANCHOR_LABELS = ("PERSON", "LOCATION", "DATE", "ORGANISATION")
+
+#: Vocabulary size of the benchmark corpora and of the benchmark tagger.
+BENCHMARK_VOCAB = 4096
 
 
 class _WordFactory:
@@ -109,15 +112,13 @@ def _chunk_documents(sentences: list[Sentence], prefix: str, rng: np.random.Gene
 class _AnchorSampler:
     """Entity-dense sentences over rendered anchor types plus fillers."""
 
-    def __init__(self, rng, fillers, anchors, ent_lo=4, ent_hi=6):
+    def __init__(self, rng, fillers, anchors):
         self.rng = rng
         self.fillers = fillers
         self.anchors = anchors  # list of (stem, label)
-        self.ent_lo = ent_lo
-        self.ent_hi = ent_hi
 
     def sentence(self, suffix: str) -> tuple[list[str], list[str]]:
-        n_e = int(self.rng.integers(self.ent_lo, self.ent_hi + 1))
+        n_e = int(self.rng.integers(4, 7))
         n_f = int(self.rng.integers(0, 2))
         texts, tags = [], []
         for _ in range(n_e):
@@ -135,32 +136,21 @@ class _AnchorSampler:
 # Two-domain adaptation benchmark corpus
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TwoDomainConfig:
-    n_anchor_train: int = 90
-    n_ambiguous_train: int = 60
-    n_anchor_eval: int = 12
-    n_ambiguous_eval: int = 28
-    n_anchor_types: int = 40
-    n_ambiguous_types: int = 10
-    n_filler_types: int = 5
-    vocab_size: int = 4096
-
-
-def two_domain_corpus(seed: int, config: TwoDomainConfig | None = None) -> Splits:
+def two_domain_corpus(seed: int) -> Splits:
     """Benchmark corpus over (Bessarabia, Transylvania).
 
     Anchor entities are spelled per region (Transylvania adds a "u");
     ambiguous types keep one shared spelling and flip their gold label
     with the region: PERSON in Bessarabia, LOCATION in Transylvania.
+    Per region, train holds 90 anchor-only and 60 ambiguous sentences;
+    valid and test hold 12 and 28.
     """
-    cfg = config or TwoDomainConfig()
     rng = np.random.default_rng(seed)
-    factory = _WordFactory(rng, cfg.vocab_size, ["", "u"])
-    fillers = factory.stems(cfg.n_filler_types)
-    anchor_stems = factory.stems(cfg.n_anchor_types)
+    factory = _WordFactory(rng, BENCHMARK_VOCAB, ["", "u"])
+    fillers = factory.stems(5)
+    anchor_stems = factory.stems(40)
     anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(anchor_stems)]
-    ambiguous = factory.stems(cfg.n_ambiguous_types)
+    ambiguous = factory.stems(10)
     sampler = _AnchorSampler(rng, fillers, anchors)
     domains = [(SOURCE_DOMAIN, ""), (TARGET_DOMAIN, "u")]
 
@@ -185,9 +175,9 @@ def two_domain_corpus(seed: int, config: TwoDomainConfig | None = None) -> Split
         return docs
 
     return Splits(
-        train=build_part("train", cfg.n_anchor_train, cfg.n_ambiguous_train),
-        valid=build_part("valid", cfg.n_anchor_eval, cfg.n_ambiguous_eval),
-        test=build_part("test", cfg.n_anchor_eval, cfg.n_ambiguous_eval),
+        train=build_part("train", 90, 60),
+        valid=build_part("valid", 12, 28),
+        test=build_part("test", 12, 28),
     )
 
 
@@ -201,9 +191,7 @@ class RegionalConfig:
     n_eval_per_region: int = 30
     n_anchor_types: int = 40
     n_filler_types: int = 5
-    vocab_size: int = 4096
-    #: per-region multipliers on the training size, e.g. to skew domains
-    train_weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
+    vocab_size: int = BENCHMARK_VOCAB
 
 
 #: Orthography per region; in coupled mode Bessarabia and Moldavia share one.
@@ -234,12 +222,9 @@ def regional_corpus(seed: int, coupled: bool = True,
     anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(anchor_stems)]
     sampler = _AnchorSampler(rng, fillers, anchors)
 
-    def build_part(part: str, base_count: int, weighted: bool) -> Corpus:
+    def build_part(part: str, count: int) -> Corpus:
         docs: Corpus = []
         for region in Region:
-            count = base_count
-            if weighted:
-                count = max(1, int(round(base_count * cfg.train_weights[int(region)])))
             rows = [sampler.sentence(suffixes[region]) for _ in range(count)]
             perm = rng.permutation(len(rows))
             sentences = [sentence_from_texts(rows[i][0], rows[i][1], region) for i in perm]
@@ -247,9 +232,9 @@ def regional_corpus(seed: int, coupled: bool = True,
         return docs
 
     return Splits(
-        train=build_part("train", cfg.n_train_per_region, True),
-        valid=build_part("valid", cfg.n_eval_per_region, False),
-        test=build_part("test", cfg.n_eval_per_region, False),
+        train=build_part("train", cfg.n_train_per_region),
+        valid=build_part("valid", cfg.n_eval_per_region),
+        test=build_part("test", cfg.n_eval_per_region),
     )
 
 
@@ -318,9 +303,9 @@ class AdaptationTrial:
         return self.lossrev_f1 - self.baseline_f1
 
 
-def benchmark_tagger_config(seed: int, vocab_size: int = 4096) -> TaggerConfig:
+def benchmark_tagger_config(seed: int) -> TaggerConfig:
     return TaggerConfig(
-        vocab_size=vocab_size, embed_dim=64, hidden_dim=256, context_window=2, seed=seed
+        vocab_size=BENCHMARK_VOCAB, embed_dim=64, hidden_dim=256, context_window=2, seed=seed
     )
 
 
@@ -333,19 +318,16 @@ def benchmark_train_config(mode: str, seed: int, epochs: int = 20) -> TrainConfi
 
 def cross_domain_f1(params, test_sentences) -> float:
     """Mean of the two per-region overall strict F1 scores."""
+    per_region = evaluate(params, test_sentences).per_region
     scores = []
     for region in (SOURCE_DOMAIN, TARGET_DOMAIN):
-        subset = [s for s in test_sentences if s.region is region]
-        scores.append(evaluate(params, subset).overall_f1.f1)
+        if region not in per_region:
+            raise DataError(f"no {region.display} sentences to evaluate")
+        scores.append(per_region[region].f1.f1)
     return float(np.mean(scores))
 
 
-def run_adaptation_trial(
-    seed: int,
-    epochs: int = 20,
-    lam: float = 0.1,
-    corpus_config: TwoDomainConfig | None = None,
-) -> AdaptationTrial:
+def run_adaptation_trial(seed: int, epochs: int = 20, lam: float = 0.1) -> AdaptationTrial:
     """Train baseline and loss-reversal models on the two-domain corpus.
 
     Reports cross-domain strict F1 for both modes plus the two
@@ -365,16 +347,15 @@ def run_adaptation_trial(
     spelling variants to share. Both factors are discussed in the
     README's known-limitation note.
     """
-    cfg = corpus_config or TwoDomainConfig()
-    splits = two_domain_corpus(seed, cfg)
+    splits = two_domain_corpus(seed)
     train_s = [s for doc in splits.train for s in doc.sentences]
     valid_s = [s for doc in splits.valid for s in doc.sentences]
     test_s = [s for doc in splits.test for s in doc.sentences]
-    tagger_cfg = benchmark_tagger_config(seed, cfg.vocab_size)
+    tagger_cfg = benchmark_tagger_config(seed)
     base = train(train_s, valid_s, tagger_cfg,
                  benchmark_train_config("baseline", seed, epochs))
     adapted = train(train_s, valid_s, tagger_cfg,
-                    benchmark_train_config("loss_rev", seed, epochs))
+                    replace(benchmark_train_config("loss_rev", seed, epochs), lam=lam))
     probe = fit_domain_probe(base.best_params, train_s, epochs=100, lr=7e-3, seed=seed)
     return AdaptationTrial(
         seed=seed,

@@ -192,8 +192,10 @@ def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
 
 @dataclass
 class AdamState:
-    m: dict[tuple[str, str], np.ndarray]
-    v: dict[tuple[str, str], np.ndarray]
+    """Moments by parameter key, each created at the key's first gradient."""
+
+    m: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -201,13 +203,6 @@ class AdamState:
     #: Per row-sparse parameter, a mask of the rows that have ever had a
     #: gradient.
     touched: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-
-
-def init_adam_state(params: m.TaggerParams) -> AdamState:
-    return AdamState(
-        m={key: np.zeros_like(arr) for key, arr in params.items_flat()},
-        v={key: np.zeros_like(arr) for key, arr in params.items_flat()},
-    )
 
 
 #: A row-sparse gradient updates only the ever-touched rows while they are
@@ -267,6 +262,9 @@ def adam_step(
             raise DataError(f"gradient shape {shape} != param shape {arr.shape} for {key}")
         if weight_decay:
             _decay(arr, lr * weight_decay)
+        if key not in state.m:
+            state.m[key] = np.zeros_like(arr)
+            state.v[key] = np.zeros_like(arr)
         if sparse:
             touched = state.touched.setdefault(key, np.zeros(len(arr), dtype=bool))
             touched[grad.rows] = True
@@ -431,7 +429,7 @@ def train(
         raise DataError("empty valid split")
     params = m.init_params(tagger_config)
     encoded = encode_sentences(train_sentences, tagger_config)
-    state = init_adam_state(params)
+    state = AdamState()
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_f1 = -1.0
@@ -456,8 +454,11 @@ def train(
             epoch_ly += breakdown.l_y * n_tok
             epoch_ld += breakdown.l_d * n_tok
             epoch_tokens += n_tok
-        valid_report = evaluate(params, valid_sentences)
-        valid_domain = domain_accuracy(params, valid_sentences)
+        try:
+            valid_report = evaluate(params, valid_sentences)
+            valid_domain = domain_accuracy(params, valid_sentences)
+        except HistnerError as exc:
+            raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         l_y = epoch_ly / epoch_tokens
         l_d = epoch_ld / epoch_tokens
         if config.mode == "baseline":
@@ -489,12 +490,15 @@ def train(
     )
 
 
+#: Sentences per domain-probe batch.
+_PROBE_BATCH = 32
+
+
 def fit_domain_probe(
     params: m.TaggerParams,
     sentences: Sequence[Sentence],
     epochs: int = 10,
     lr: float = 1e-3,
-    batch_size: int = 32,
     seed: int = 0,
 ) -> m.TaggerParams:
     """Retrain only the domain head on frozen features.
@@ -511,12 +515,12 @@ def fit_domain_probe(
     regions = _region_ids(encoded)
     token_rows = _per_sentence(np.arange(len(regions)), encoded)
     head = probe.domain_head
-    state = init_adam_state(probe)
+    state = AdamState()
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(len(encoded))
-        for lo in range(0, len(order), batch_size):
-            rows = np.concatenate([token_rows[i] for i in order[lo : lo + batch_size]])
+        for lo in range(0, len(order), _PROBE_BATCH):
+            rows = np.concatenate([token_rows[i] for i in order[lo : lo + _PROBE_BATCH]])
             w, b = ad.Node(head["w"]), ad.Node(head["b"])
             logits = ad.add(ad.matmul(ad.Node(features[rows]), w), b)
             ad.backward(ad.mean(ad.softmax_cross_entropy(logits, regions[rows])))
@@ -554,7 +558,8 @@ def inter_regional(
     config: TrainConfig,
 ) -> InterRegionalResult:
     """Train one model per region and evaluate it on every region's test
-    sentences; the diagonal is the intra-regional score."""
+    sentences; the diagonal is the intra-regional score. Each model is
+    evaluated once, over the whole test split, as soon as it is trained."""
     regions = list(Region)
     train_by = {r: [s for s in iter_sentences(splits.train) if s.region == r] for r in regions}
     valid_by = {r: [s for s in iter_sentences(splits.valid) if s.region == r] for r in regions}
@@ -565,15 +570,12 @@ def inter_regional(
         if not test_by[r]:
             raise DataError(f"region {r.display} has no evaluation sentences")
 
-    models = [
-        train(train_by[r], valid_by[r] or test_by[r], tagger_config, config).best_params
-        for r in regions
-    ]
+    test = list(iter_sentences(splits.test))
     matrix = np.zeros((len(regions), len(regions)))
-    for i, trained in enumerate(models):
-        for j, eval_region in enumerate(regions):
-            report = evaluate(trained, test_by[eval_region])
-            matrix[i, j] = report.overall_f1.f1
+    for i, r in enumerate(regions):
+        trained = train(train_by[r], valid_by[r] or test_by[r], tagger_config, config).best_params
+        per_region = evaluate(trained, test).per_region
+        matrix[i] = [per_region[eval_region].f1.f1 for eval_region in regions]
     return InterRegionalResult(regions=regions, matrix=matrix)
 
 

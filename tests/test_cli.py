@@ -290,6 +290,9 @@ MALFORMED = {
     "negative weight decay": (_config_case({"train": {"weight_decay": -0.1}}), "weight_decay"),
     "tagger config int is a string": (_config_case({"tagger": {"hidden_dim": "16"}}), "hidden_dim"),
     "tagger config int is a bool": (_config_case({"tagger": {"embed_dim": True}}), "embed_dim"),
+    "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
+    "tagger config sets the domain count": (
+        _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
 }
 
 

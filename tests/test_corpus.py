@@ -512,6 +512,18 @@ class TestHistneroAdapter:
         with pytest.raises(DataError, match="line 2"):
             C.load_histnero(tmp_path)
 
+    # the blank second line is counted: errors name file lines, not records
+    @pytest.mark.parametrize("bad_line, message", [
+        ("{nope", "line 3: invalid JSON"),
+        (json.dumps({**_RELEASE_ROW, "region": "Atlantis"}), "line 3: unknown region 'Atlantis'"),
+    ], ids=["invalid JSON", "unknown region"])
+    def test_bad_line_names_its_file_line(self, tmp_path, bad_line, message):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+        (tmp_path / "valid.json").write_text(json.dumps(_RELEASE_ROW) + "\n\n" + bad_line + "\n")
+        with pytest.raises(DataError, match=message):
+            C.load_histnero(tmp_path)
+
     def test_missing_part(self, tmp_path):
         (tmp_path / "train.json").write_text("{}")
         with pytest.raises(DataError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ def small_config(seed=0):
     return M.TaggerConfig(seed=seed, **SMALL)
 
 
+def _rewrite_config(path, **entries):
+    """Add ``entries`` to the config recorded in a checkpoint's metadata."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["config"].update(entries)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = M.TaggerConfig()
@@ -20,16 +33,20 @@ class TestConfig:
         assert cfg.embed_dim == 64
         assert cfg.hidden_dim == 128
         assert cfg.context_window == 2
-        assert cfg.n_tags == 11
-        assert cfg.n_domains == 4
+        params = M.init_params(small_config())
+        assert params.ner_head["w"].shape == (SMALL["hidden_dim"], 11)
+        assert params.domain_head["w"].shape == (SMALL["hidden_dim"], 4)
 
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             M.TaggerConfig(embed_dim=0).validate()
 
-    def test_tag_count_pinned(self):
-        with pytest.raises(ConfigError):
-            M.TaggerConfig(n_tags=9).validate()
+    def test_tag_count_pinned(self, tmp_path):
+        path = tmp_path / "model.npz"
+        M.init_params(small_config()).save(path)
+        _rewrite_config(path, n_tags=9, n_domains=4)
+        with pytest.raises(DataError, match="model.npz.*n_tags"):
+            M.TaggerParams.load(path)
 
     @pytest.mark.parametrize("kwargs", [
         dict(vocab_size="512"), dict(embed_dim=8.0), dict(hidden_dim=True), dict(seed=None),
@@ -216,11 +233,11 @@ class TestPredict:
 
     def test_argmax_shift_invariance(self):
         params = M.init_params(small_config())
-        ids = M.featurize(["unu", "doi"], 512)
-        base = M.predict_tag_ids(params, ids)
+        texts = ["unu", "doi"]
+        base = M.predict_tags(params, texts)
         shifted = params.copy()
         shifted.ner_head["b"][...] += 3.5
-        assert np.array_equal(M.predict_tag_ids(shifted, ids), base)
+        assert M.predict_tags(shifted, texts) == base
 
     def test_untrained_tag_distribution_near_uniform(self):
         # over many random initializations, any fixed tag wins the argmax
@@ -231,7 +248,7 @@ class TestPredict:
             params = M.init_params(small_config(seed))
             texts = [f"t{rng.integers(10_000)}" for _ in range(200)]
             ids = M.featurize(texts, 512)
-            tag_ids = M.predict_tag_ids(params, ids)
+            tag_ids = np.argmax(M.forward(params, ids).ner_logits.value, axis=1)
             hits += int((tag_ids == 0).sum())
             total += len(tag_ids)
         assert abs(hits / total - 1 / 11) < 0.03
@@ -261,6 +278,24 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             _np.savez(fh, **arrays)
         with pytest.raises(DataError):
+            M.TaggerParams.load(path)
+
+    def test_fixed_head_sizes_in_metadata_accepted(self, tmp_path):
+        # checkpoints written before the head sizes were fixed record them
+        params = M.init_params(small_config(2))
+        path = tmp_path / "model.npz"
+        params.save(path)
+        _rewrite_config(path, n_tags=11, n_domains=4)
+        loaded = M.TaggerParams.load(path)
+        assert loaded.config == params.config
+        for (_, a), (_, b) in zip(params.items_flat(), loaded.items_flat()):
+            assert np.array_equal(a, b)
+
+    def test_other_domain_count_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        M.init_params(small_config()).save(path)
+        _rewrite_config(path, n_domains=2)
+        with pytest.raises(DataError, match="model.npz.*n_domains"):
             M.TaggerParams.load(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):

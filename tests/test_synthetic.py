@@ -7,6 +7,7 @@ from histner.corpus import (
     iter_sentences,
     validate_corpus,
 )
+from histner import synthetic
 from histner.model import featurize
 from histner.synthetic import (
     SOURCE_DOMAIN,
@@ -132,3 +133,17 @@ class TestSeparableCorpus:
         a = separable_corpus(3, n_sentences=80, vocab_size=2048)
         b = separable_corpus(3, n_sentences=80, vocab_size=2048)
         assert dumps_jsonl(a) == dumps_jsonl(b)
+
+
+class TestAdaptationTrial:
+    def test_lambda_reaches_loss_reversal_training(self, monkeypatch):
+        configs = []
+        real_train = synthetic.train
+
+        def spy(train_s, valid_s, tagger_config, config):
+            configs.append(config)
+            return real_train(train_s, valid_s, tagger_config, config)
+
+        monkeypatch.setattr(synthetic, "train", spy)
+        synthetic.run_adaptation_trial(0, epochs=1, lam=0.7)
+        assert {c.mode: c.lam for c in configs}["loss_rev"] == 0.7

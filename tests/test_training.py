@@ -7,8 +7,14 @@ from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
 from histner.corpus import Region, SplitSpec, iter_sentences, split_dataset
-from histner.errors import ConfigError, DataError
-from histner.synthetic import separable_corpus, two_domain_corpus
+from histner.errors import ConfigError, DataError, TrainingError
+from histner.synthetic import (
+    SOURCE_DOMAIN,
+    TARGET_DOMAIN,
+    cross_domain_f1,
+    separable_corpus,
+    two_domain_corpus,
+)
 
 from conftest import make_sentence
 
@@ -215,7 +221,7 @@ class TestAdam:
 
     def test_untouched_rows_only_decay(self):
         params = M.init_params(small_config())
-        state = T.init_adam_state(params)
+        state = T.AdamState()
         table = params.extractor["embed"]
         before = table.copy()
         rows = np.array([3, 17, 512])
@@ -294,6 +300,19 @@ class TestTrain:
         f1s = [h["valid_f1"] for h in result.history]
         first_best = f1s.index(max(f1s))
         assert result.best_epoch == first_best
+
+    # A huge learning rate makes the next forward pass overflow.
+    def test_diverged_step_names_epoch_and_batch(self):
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        config = T.TrainConfig(epochs=1, lr=1e300, batch_size=8)
+        with pytest.raises(TrainingError, match="epoch 0, batch at 8"):
+            T.train(train_s, valid_s, small_config(), config)
+
+    def test_diverged_validation_names_epoch(self):
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        config = T.TrainConfig(epochs=1, lr=1e300, batch_size=len(train_s))
+        with pytest.raises(TrainingError, match="epoch 0, validation"):
+            T.train(train_s, valid_s, small_config(), config)
 
 
 class TestPredictEncoded:
@@ -420,6 +439,20 @@ class TestDomainProbe:
         assert np.array_equal(probe.ner_head["w"], params.ner_head["w"])
         assert not np.array_equal(probe.domain_head["w"], params.domain_head["w"])
 
+    def test_probe_keeps_moments_for_domain_head_only(self, monkeypatch):
+        states = []
+        real_adam_step = T.adam_step
+
+        def spy(params, grads, state, lr, weight_decay=0.0):
+            states.append(state)
+            real_adam_step(params, grads, state, lr, weight_decay)
+
+        monkeypatch.setattr(T, "adam_step", spy)
+        sents = list(iter_sentences(separable_corpus(5, n_sentences=40, vocab_size=512)))
+        T.fit_domain_probe(M.init_params(small_config()), sents, epochs=1, seed=0)
+        domain_keys = {("domain_head", "w"), ("domain_head", "b")}
+        assert states and set(states[-1].m) == set(states[-1].v) == domain_keys
+
 
 # Per-sentence and full-graph loops the chunked inference path replaced,
 # kept as references: the chunked results must equal theirs exactly.
@@ -445,7 +478,7 @@ def _reference_probe(params, sentences, epochs, lr, batch_size=32, seed=0):
     """The extractor's full forward and backward on every probe batch."""
     probe = params.copy()
     encoded = T.encode_sentences(sentences, probe.config)
-    state = T.init_adam_state(probe)
+    state = T.AdamState()
     rng = np.random.default_rng(seed)
     domain_keys = [("domain_head", "w"), ("domain_head", "b")]
     for _ in range(epochs):
@@ -489,6 +522,22 @@ class TestChunkedInferenceMatchesReference:
         reference = _reference_probe(params, sents, epochs=3, lr=7e-3, seed=1)
         for name in ("w", "b"):
             assert np.array_equal(probe.domain_head[name], reference.domain_head[name]), name
+
+
+class TestCrossDomainF1:
+    def test_equals_mean_of_per_region_evaluations(self, trained_two_domain):
+        params, _ = trained_two_domain
+        test_s = list(iter_sentences(two_domain_corpus(0).test))
+        reference = np.mean([
+            T.evaluate(params, [s for s in test_s if s.region is r]).overall_f1.f1
+            for r in (SOURCE_DOMAIN, TARGET_DOMAIN)
+        ])
+        assert 0 < cross_domain_f1(params, test_s) == reference
+
+    def test_missing_region_rejected(self, trained_two_domain):
+        params, sents = trained_two_domain
+        with pytest.raises(DataError, match="Transylvania"):
+            cross_domain_f1(params, [s for s in sents if s.region is SOURCE_DOMAIN])
 
 
 # The dense training step the row-sparse embedding boundary replaced, kept
