@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import Document, EntityLabel, EntitySpan, Region
 from .errors import DataError
 
@@ -43,20 +45,19 @@ class PRF:
         }
 
 
-def match_counts(
-    gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]
-) -> tuple[int, int, int]:
-    """Multiset intersection on (label, first, last) keys."""
-    gold_keys = Counter(s.key for s in gold)
-    pred_keys = Counter(s.key for s in pred)
-    tp = sum((gold_keys & pred_keys).values())
-    return tp, sum(pred_keys.values()) - tp, sum(gold_keys.values()) - tp
-
-
 @dataclass
 class StrictF1Report:
     overall: PRF
     per_label: dict[EntityLabel, PRF]
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "StrictF1Report":
+        """The report of a (label, [tp, fp, fn]) count matrix; the overall
+        counts are its sums over labels."""
+        return cls(
+            overall=PRF.from_counts(*counts.sum(axis=0).tolist()),
+            per_label={l: PRF.from_counts(*c) for l, c in zip(EntityLabel, counts.tolist())},
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,32 +66,41 @@ class StrictF1Report:
         }
 
 
+#: Where a label's [tp, fp, fn] cells start in a sentence's flat count row.
+_LABEL_CELL = {label: 3 * i for i, label in enumerate(EntityLabel)}
+
+
+def span_counts(
+    gold: Sequence[Sequence[EntitySpan]], pred: Sequence[Sequence[EntitySpan]]
+) -> np.ndarray:
+    """Strict-match counts of aligned sentence lists, shape (sentences,
+    labels, 3) with columns tp, fp, fn: a predicted span that takes an
+    unmatched gold span with its (label, first, last) key is a tp, else an
+    fp; gold spans left unmatched are fns. A group sums its rows."""
+    if len(gold) != len(pred):
+        raise DataError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
+    rows = []
+    for g_sent, p_sent in zip(gold, pred):
+        unmatched = Counter(s.key for s in g_sent)
+        row = [0] * (3 * len(EntityLabel))
+        for span in p_sent:
+            if unmatched[span.key] > 0:
+                unmatched[span.key] -= 1
+                row[_LABEL_CELL[span.label]] += 1
+            else:
+                row[_LABEL_CELL[span.label] + 1] += 1
+        for (label, _, _), n in unmatched.items():
+            row[_LABEL_CELL[label] + 2] += n
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(EntityLabel), 3)
+
+
 def strict_f1(
     gold: Sequence[Sequence[EntitySpan]], pred: Sequence[Sequence[EntitySpan]]
 ) -> StrictF1Report:
     """Micro-averaged strict F1 over aligned sentence lists, plus one PRF
     per entity label computed on that label's spans only."""
-    if len(gold) != len(pred):
-        raise DataError(
-            f"gold has {len(gold)} sentences but pred has {len(pred)}"
-        )
-    tp = fp = fn = 0
-    by_label = {label: [0, 0, 0] for label in EntityLabel}
-    for g_sent, p_sent in zip(gold, pred):
-        t, p, n = match_counts(g_sent, p_sent)
-        tp, fp, fn = tp + t, fp + p, fn + n
-        for label in EntityLabel:
-            g_l = [s for s in g_sent if s.label == label]
-            p_l = [s for s in p_sent if s.label == label]
-            t, p, n = match_counts(g_l, p_l)
-            cell = by_label[label]
-            cell[0] += t
-            cell[1] += p
-            cell[2] += n
-    return StrictF1Report(
-        overall=PRF.from_counts(tp, fp, fn),
-        per_label={l: PRF.from_counts(*c) for l, c in by_label.items()},
-    )
+    return StrictF1Report.from_counts(span_counts(gold, pred).sum(axis=0))
 
 
 def token_accuracy(
@@ -189,18 +199,6 @@ def _project_tags(tags: Sequence[str], label: EntityLabel) -> list[str]:
     return [t if t in keep else "O" for t in tags]
 
 
-def _agreement_cell(
-    tags_a: list[list[str]],
-    tags_b: list[list[str]],
-    spans_a: list[list[EntitySpan]],
-    spans_b: list[list[EntitySpan]],
-) -> AgreementCell:
-    return AgreementCell(
-        kappa=cohens_kappa(tags_a, tags_b),
-        pairwise_f1=strict_f1(spans_a, spans_b).overall,
-    )
-
-
 def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> AgreementReport:
     """Agreement between two annotation layers over the same documents,
     annotator A taken as reference for the pairwise F1."""
@@ -227,26 +225,29 @@ def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> Agreemen
             spans_b.append(sb.spans)
             regions.append(sa.region)
 
-    overall = _agreement_cell(tags_a, tags_b, spans_a, spans_b)
+    counts = span_counts(spans_a, spans_b)
+    f1 = StrictF1Report.from_counts(counts.sum(axis=0))
+    overall = AgreementCell(kappa=cohens_kappa(tags_a, tags_b), pairwise_f1=f1.overall)
 
     per_region: dict[Region, AgreementCell] = {}
     for region in Region:
         idx = [i for i, r in enumerate(regions) if r == region]
         if not idx:
             continue
-        per_region[region] = _agreement_cell(
-            [tags_a[i] for i in idx], [tags_b[i] for i in idx],
-            [spans_a[i] for i in idx], [spans_b[i] for i in idx],
+        per_region[region] = AgreementCell(
+            kappa=cohens_kappa([tags_a[i] for i in idx], [tags_b[i] for i in idx]),
+            pairwise_f1=StrictF1Report.from_counts(counts[idx].sum(axis=0)).overall,
         )
 
-    per_label: dict[EntityLabel, AgreementCell] = {}
-    for label in EntityLabel:
-        per_label[label] = _agreement_cell(
-            [_project_tags(t, label) for t in tags_a],
-            [_project_tags(t, label) for t in tags_b],
-            [[s for s in sent if s.label == label] for sent in spans_a],
-            [[s for s in sent if s.label == label] for sent in spans_b],
+    # a label's pairwise F1 is strict F1 on that label's spans only
+    per_label = {
+        label: AgreementCell(
+            kappa=cohens_kappa([_project_tags(t, label) for t in tags_a],
+                               [_project_tags(t, label) for t in tags_b]),
+            pairwise_f1=f1.per_label[label],
         )
+        for label in EntityLabel
+    }
 
     return AgreementReport(overall=overall, per_region=per_region, per_label=per_label)
 

@@ -135,7 +135,8 @@ class TaggerParams:
                     if values.pop(key, size) != size:
                         raise DataError(f"{path}: checkpoint {key} is not {size}")
                 config = TaggerConfig(**values)
-            except (ValueError, TypeError, KeyError) as exc:
+                config.validate()
+            except (ValueError, TypeError, KeyError, ConfigError) as exc:
                 raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
             params = init_params(config)
             for (group, name), arr in params.items_flat():

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import Region, Sentence, TAG_ALPHABET, TAG_TO_ID, iter_sentences
+from .corpus import Region, Sentence, TAG_ALPHABET, TAG_TO_ID, decode_iob, iter_sentences
 from .errors import ConfigError, DataError, HistnerError, TagError, TrainingError
-from .metrics import PRF, format_table, strict_f1, token_accuracy
+from .metrics import PRF, StrictF1Report, format_table, span_counts
 
 MODES = ("baseline", "grad_rev", "loss_rev")
 
@@ -197,13 +197,13 @@ class AdamState:
     m: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     #: Per row-sparse parameter, a mask of the rows that have ever had a
     #: gradient.
     touched: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
+
+#: Adam's moment decay rates and the guard added to the update's denominator.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 #: A row-sparse gradient updates only the ever-touched rows while they are
 #: at most this share of the table; above it the whole table is updated.
@@ -228,11 +228,11 @@ def _decay(arr: np.ndarray, factor: float) -> None:
 def _moments_and_update(state: AdamState, m_prev, v_prev, grad, lr: float):
     """The new first and second moments and the step to subtract."""
     t = state.step
-    m_new = state.beta1 * m_prev + (1 - state.beta1) * grad
-    v_new = state.beta2 * v_prev + (1 - state.beta2) * grad * grad
-    m_hat = m_new / (1 - state.beta1 ** t)
-    v_hat = v_new / (1 - state.beta2 ** t)
-    return m_new, v_new, lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m_new = _BETA1 * m_prev + (1 - _BETA1) * grad
+    v_new = _BETA2 * v_prev + (1 - _BETA2) * grad * grad
+    m_hat = m_new / (1 - _BETA1 ** t)
+    v_hat = v_new / (1 - _BETA2 ** t)
+    return m_new, v_new, lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def adam_step(
@@ -305,32 +305,33 @@ def _per_sentence(rows: np.ndarray, group: Sequence[EncodedSentence]) -> list[np
     return np.split(rows, np.cumsum([len(s) for s in group])[:-1])
 
 
+def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> tuple[list[np.ndarray], int]:
+    """One forward pass: the argmax tag ids of each sentence, and the number
+    of tokens whose domain argmax is their sentence's region."""
+    tag_ids, domain_correct = [], 0
+    for group, graph in _forward_chunks(params, encoded):
+        tag_ids.extend(_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group))
+        domain_ids = np.argmax(graph.domain_logits.value, axis=1)
+        domain_correct += int((domain_ids == _region_ids(group)).sum())
+    return tag_ids, domain_correct
+
+
 def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> list[np.ndarray]:
     """Argmax tag ids per sentence."""
-    out: list[np.ndarray] = []
-    for group, graph in _forward_chunks(params, encoded):
-        out.extend(_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group))
-    return out
+    return _predict(params, encoded)[0]
 
 
 def predict_corpus(params: m.TaggerParams, sentences: Sequence[Sentence]) -> list[list[str]]:
     encoded = encode_sentences(sentences, params.config)
-    return [
-        [TAG_ALPHABET[i] for i in ids]
-        for ids in predict_encoded(params, encoded)
-    ]
+    return [[TAG_ALPHABET[i] for i in ids] for ids in predict_encoded(params, encoded)]
 
 
 def domain_accuracy(params: m.TaggerParams, sentences: Sequence[Sentence]) -> float:
     """Per-token accuracy of the domain head against the region labels."""
     if not sentences:
         raise DataError("empty subset")
-    correct = total = 0
-    for group, graph in _forward_chunks(params, encode_sentences(sentences, params.config)):
-        regions = _region_ids(group)
-        correct += int((np.argmax(graph.domain_logits.value, axis=1) == regions).sum())
-        total += len(regions)
-    return correct / total
+    encoded = encode_sentences(sentences, params.config)
+    return _predict(params, encoded)[1] / sum(len(s) for s in encoded)
 
 
 @dataclass
@@ -370,32 +371,37 @@ class EvalReport:
         return region_table + "\n\n" + label_table
 
 
+def _score(encoded: Sequence[EncodedSentence], gold_spans: list, tag_ids: list[np.ndarray]) -> EvalReport:
+    """Score predicted tag ids against the encoded gold tags and the gold
+    spans: each sentence's span counts and matched tokens are taken once,
+    then summed per region and overall."""
+    counts = span_counts(gold_spans, [decode_iob([TAG_ALPHABET[i] for i in ids]) for ids in tag_ids])
+    tokens = np.array([[int((ids == s.tag_ids).sum()), len(s)] for ids, s in zip(tag_ids, encoded)])
+    regions = np.array([s.region_id for s in encoded])
+
+    def score(rows) -> tuple[float, StrictF1Report]:
+        matched, total = tokens[rows].sum(axis=0).tolist()
+        if total == 0:
+            raise DataError("no tokens to score")
+        return matched / total, StrictF1Report.from_counts(counts[rows].sum(axis=0))
+
+    by_region = {r: score(regions == r) for r in Region if (regions == r).any()}
+    accuracy, report = score(slice(None))
+    return EvalReport(
+        per_region={r: RegionScore(accuracy=a, f1=f.overall) for r, (a, f) in by_region.items()},
+        per_label={l.name: p for l, p in report.per_label.items()},
+        overall_accuracy=accuracy,
+        overall_f1=report.overall,
+    )
+
+
 def evaluate(params: m.TaggerParams, sentences: Sequence[Sentence]) -> EvalReport:
     """Accuracy and strict F1 grouped by region, strict F1 per entity."""
     sentences = list(sentences)
     if not sentences:
         raise DataError("empty evaluation subset")
-    predictions = predict_corpus(params, sentences)
-    gold_tags = [list(s.tags) for s in sentences]
-    gold_spans = [s.spans for s in sentences]
-    from .corpus import decode_iob
-
-    pred_spans = [decode_iob(tags) for tags in predictions]
-    report = strict_f1(gold_spans, pred_spans)
-    per_region: dict[Region, RegionScore] = {}
-    for region in Region:
-        idx = [i for i, s in enumerate(sentences) if s.region == region]
-        if not idx:
-            continue
-        acc = token_accuracy([gold_tags[i] for i in idx], [predictions[i] for i in idx])
-        f1 = strict_f1([gold_spans[i] for i in idx], [pred_spans[i] for i in idx]).overall
-        per_region[region] = RegionScore(accuracy=acc, f1=f1)
-    return EvalReport(
-        per_region=per_region,
-        per_label={l.name: p for l, p in report.per_label.items()},
-        overall_accuracy=token_accuracy(gold_tags, predictions),
-        overall_f1=report.overall,
-    )
+    encoded = encode_sentences(sentences, params.config)
+    return _score(encoded, [s.spans for s in sentences], predict_encoded(params, encoded))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +435,9 @@ def train(
         raise DataError("empty valid split")
     params = m.init_params(tagger_config)
     encoded = encode_sentences(train_sentences, tagger_config)
+    valid_encoded = encode_sentences(valid_sentences, tagger_config)
+    valid_spans = [s.spans for s in valid_sentences]
+    valid_tokens = sum(len(s) for s in valid_encoded)
     state = AdamState()
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
@@ -455,8 +464,8 @@ def train(
             epoch_ld += breakdown.l_d * n_tok
             epoch_tokens += n_tok
         try:
-            valid_report = evaluate(params, valid_sentences)
-            valid_domain = domain_accuracy(params, valid_sentences)
+            tag_ids, domain_correct = _predict(params, valid_encoded)
+            valid_report = _score(valid_encoded, valid_spans, tag_ids)
         except HistnerError as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         l_y = epoch_ly / epoch_tokens
@@ -475,7 +484,7 @@ def train(
                 "l_total": l_total,
                 "valid_f1": valid_report.overall_f1.f1,
                 "valid_acc": valid_report.overall_accuracy,
-                "valid_domain_acc": valid_domain,
+                "valid_domain_acc": domain_correct / valid_tokens,
             }
         )
         if valid_report.overall_f1.f1 > best_f1:

@@ -6,6 +6,7 @@ import pytest
 
 from histner import cli
 from histner.corpus import dumps_jsonl, save_jsonl
+from histner.model import CHECKPOINT_VERSION
 from histner.synthetic import regional_corpus, separable_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -278,6 +279,10 @@ MALFORMED = {
         _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),
     "checkpoint metadata unreadable": (
         _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(b"{nope", np.uint8))),
+        "bad.npz"),
+    "checkpoint config value invalid": (
+        _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(json.dumps(
+            {"version": CHECKPOINT_VERSION, "config": {"hidden_dim": 0}}).encode(), np.uint8))),
         "bad.npz"),
     "unknown tagger config key": (
         _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),

@@ -105,12 +105,15 @@ def _oracle_spans(tags):
     return out
 
 
-def _oracle_prf(gold_tags, pred_tags):
+def _oracle_prf(gold_tags, pred_tags, label=None):
     from collections import Counter
 
     tp = fp = fn = 0
     for g, p in zip(gold_tags, pred_tags):
-        cg, cp = Counter(_oracle_spans(g)), Counter(_oracle_spans(p))
+        cg, cp = (
+            Counter(s for s in _oracle_spans(tags) if label is None or s[0] == label)
+            for tags in (g, p)
+        )
         inter = sum((cg & cp).values())
         tp += inter
         fp += sum(cp.values()) - inter
@@ -130,6 +133,8 @@ class TestStrictF1Properties:
         assert (report.overall.tp, report.overall.fp, report.overall.fn) == _oracle_prf(
             gold_tags, pred_tags
         )
+        for label, prf in report.per_label.items():
+            assert (prf.tp, prf.fp, prf.fn) == _oracle_prf(gold_tags, pred_tags, label.name)
 
     @given(tag_lists, tag_lists)
     @settings(max_examples=100)
@@ -248,7 +253,57 @@ def _two_layer_docs():
     )
 
 
+def _reference_iaa_f1(layer_a, layer_b):
+    """Pairwise F1 by region and by label as one strict F1 run per group."""
+    sents_a = [s for d in layer_a for s in d.sentences]
+    sents_b = [s for d in layer_b for s in d.sentences]
+    per_region = {}
+    for region in Region:
+        idx = [i for i, s in enumerate(sents_a) if s.region == region]
+        if idx:
+            per_region[region] = strict_f1(
+                [sents_a[i].spans for i in idx], [sents_b[i].spans for i in idx]).overall
+    per_label = {
+        label: strict_f1(
+            [[x for x in s.spans if x.label == label] for s in sents_a],
+            [[x for x in s.spans if x.label == label] for s in sents_b],
+        ).overall
+        for label in EntityLabel
+    }
+    return per_region, per_label
+
+
+@st.composite
+def annotation_layers(draw):
+    """Two annotation layers over the same tokens, documents in id order:
+    one to three sentences each, in random regions, with independently
+    drawn tags."""
+    layer_a, layer_b = [], []
+    for d in range(draw(st.integers(1, 4))):
+        sents_a, sents_b = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, 8))
+            region = draw(st.sampled_from(list(Region)))
+            texts = [f"w{i}" for i in range(n)]
+            for sents in (sents_a, sents_b):
+                tags = draw(st.lists(st.sampled_from(TAG_ALPHABET), min_size=n, max_size=n))
+                sents.append(make_sentence(texts, tags, region))
+        layer_a.append(make_doc(f"d{d}", sents_a))
+        layer_b.append(make_doc(f"d{d}", sents_b))
+    return layer_a, layer_b
+
+
 class TestIaaReport:
+    @given(annotation_layers())
+    @settings(max_examples=100, deadline=None)
+    def test_pairwise_f1_equals_one_strict_f1_per_group(self, layers):
+        report = iaa_report(*layers)
+        per_region, per_label = _reference_iaa_f1(*layers)
+        assert {r: c.pairwise_f1 for r, c in report.per_region.items()} == per_region
+        assert {l: c.pairwise_f1 for l, c in report.per_label.items()} == per_label
+        assert report.overall.pairwise_f1 == strict_f1(
+            *([s.spans for d in layer for s in d.sentences] for layer in layers)).overall
+
     def test_identical_layers(self, tiny_corpus):
         report = iaa_report(tiny_corpus, tiny_corpus)
         assert report.overall.kappa == 1.0

@@ -298,6 +298,13 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="model.npz.*n_domains"):
             M.TaggerParams.load(path)
 
+    def test_invalid_config_value_names_the_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        M.init_params(small_config()).save(path)
+        _rewrite_config(path, hidden_dim=0)
+        with pytest.raises(DataError, match="model.npz.*hidden_dim"):
+            M.TaggerParams.load(path)
+
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, junk=np.zeros(3))

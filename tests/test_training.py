@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
-from histner.corpus import Region, SplitSpec, iter_sentences, split_dataset
+from histner.corpus import TAG_ALPHABET, Region, SplitSpec, decode_iob, iter_sentences, split_dataset
 from histner.errors import ConfigError, DataError, TrainingError
+from histner.metrics import strict_f1, token_accuracy
 from histner.synthetic import (
     SOURCE_DOMAIN,
     TARGET_DOMAIN,
@@ -367,6 +370,64 @@ class TestEvaluate:
         text = report.render_text()
         for header in ("Region", "Acc", "F1", "Total"):
             assert header in text
+
+    @given(st.data(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_groups_equal_scoring_each_subset(self, data, seed):
+        sentences = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            n = data.draw(st.integers(1, 8))
+            texts = [f"w{data.draw(st.integers(0, 40))}" for _ in range(n)]
+            tags = data.draw(st.lists(st.sampled_from(TAG_ALPHABET), min_size=n, max_size=n))
+            sentences.append(make_sentence(texts, tags, data.draw(st.sampled_from(list(Region)))))
+        params = M.init_params(small_config(seed))
+        report = T.evaluate(params, sentences)
+        predicted = T.predict_corpus(params, sentences)
+
+        def scores(idx):
+            gold = [sentences[i] for i in idx]
+            pred = [predicted[i] for i in idx]
+            return (token_accuracy([s.tags for s in gold], pred),
+                    strict_f1([s.spans for s in gold], [decode_iob(t) for t in pred]))
+
+        expected = {}
+        for region in Region:
+            idx = [i for i, s in enumerate(sentences) if s.region == region]
+            if idx:
+                accuracy, f1 = scores(idx)
+                expected[region] = T.RegionScore(accuracy=accuracy, f1=f1.overall)
+        assert report.per_region == expected
+        accuracy, f1 = scores(range(len(sentences)))
+        assert (report.overall_accuracy, report.overall_f1) == (accuracy, f1.overall)
+        assert report.per_label == {l.name: p for l, p in f1.per_label.items()}
+
+
+class TestValidationPass:
+    def test_validation_encoded_once_and_forwarded_once_per_epoch(self, monkeypatch):
+        sents = list(iter_sentences(separable_corpus(4, n_sentences=200, vocab_size=512)))
+        train_s, valid_s = sents[:40], sents[40:190]
+        config = T.TrainConfig(epochs=3, batch_size=16, seed=0)
+        encodes, forwards = [], []
+        real_encode, real_forward = T.encode_sentences, M.forward_windows
+
+        def encode_spy(sentences, tagger_config):
+            encodes.append(len(sentences))
+            return real_encode(sentences, tagger_config)
+
+        def forward_spy(params, windows, **kwargs):
+            forwards.append("step" if kwargs else "validation")
+            return real_forward(params, windows, **kwargs)
+
+        monkeypatch.setattr(T, "encode_sentences", encode_spy)
+        monkeypatch.setattr(M, "forward_windows", forward_spy)
+        result = T.train(train_s, valid_s, small_config(), config)
+        assert sorted(encodes) == [len(train_s), len(valid_s)]
+        assert forwards.count("validation") == config.epochs * -(-len(valid_s) // T._CHUNK)
+        assert forwards.count("step") == config.epochs * -(-len(train_s) // config.batch_size)
+        last = result.history[-1]
+        report = T.evaluate(result.final_params, valid_s)
+        assert (last["valid_f1"], last["valid_acc"]) == (report.overall_f1.f1, report.overall_accuracy)
+        assert last["valid_domain_acc"] == T.domain_accuracy(result.final_params, valid_s)
 
 
 class TestInterRegional:
