@@ -3,12 +3,12 @@
 Each region's sentences are pooled into one virtual document. With N the
 number of region-documents and df the number of them containing a term:
 
-    tf(term, region) = log(1 + count)        (raw count as a switch)
+    tf(term, region) = log(1 + count)
     idf(term)        = log(N / df)
     score            = tf * idf
 
-Natural logs, no vector normalization. A term appearing in every region
-therefore scores 0 everywhere.
+Natural logs, no stop list, no vector normalization. A term appearing in
+every region therefore scores 0 everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from .corpus import Corpus, Region
 from .errors import ConfigError
@@ -39,23 +38,14 @@ def _terms(sentence) -> list[str]:
     ]
 
 
-def tfidf_top_k(
-    corpus: Corpus,
-    k: int,
-    log_tf: bool = True,
-    stopwords: Sequence[str] | None = None,
-) -> dict[Region, list[TfIdfEntry]]:
+def tfidf_top_k(corpus: Corpus, k: int) -> dict[Region, list[TfIdfEntry]]:
     """Top-k scored terms per region, ties broken by term order."""
     if k <= 0:
         raise ConfigError(f"k must be >= 1, got {k}")
-    stop = set(stopwords or ())
     counts: dict[Region, Counter] = {}
     for doc in corpus:
         for sent in doc.sentences:
-            bag = counts.setdefault(sent.region, Counter())
-            for term in _terms(sent):
-                if term not in stop:
-                    bag[term] += 1
+            counts.setdefault(sent.region, Counter()).update(_terms(sent))
     n_regions = len(counts)
     if n_regions == 1:
         warnings.warn(
@@ -71,8 +61,7 @@ def tfidf_top_k(
         bag = counts[region]
         scored = []
         for term, count in bag.items():
-            tf = math.log(1 + count) if log_tf else float(count)
-            idf = math.log(n_regions / df[term])
+            tf, idf = math.log(1 + count), math.log(n_regions / df[term])
             scored.append(TfIdfEntry(term=term, region=region, score=tf * idf))
         scored.sort(key=lambda e: (-e.score, e.term))
         ranking[region] = scored[:k]

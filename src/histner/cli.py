@@ -57,12 +57,13 @@ def _ensure_out(args) -> Path:
     return out
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def _read_json_object(path: str) -> dict:
+    try:
+        payload = json.loads(corpus.read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise DataError("config file must hold a JSON object")
+        raise DataError(f"{path}: must hold a JSON object, got {type(payload).__name__}")
     return payload
 
 
@@ -77,7 +78,7 @@ def _config_section(file_cfg: dict, section: str, cls) -> dict:
 
 
 def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _read_json_object(args.config) if args.config else {}
     tagger_kwargs = _config_section(file_cfg, "tagger", model.TaggerConfig)
     train_kwargs = _config_section(file_cfg, "train", training.TrainConfig)
     # flags override the config file
@@ -94,9 +95,8 @@ def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
 
 
 def _split_corpus(args, docs: corpus.Corpus) -> corpus.Splits:
-    if getattr(args, "split_file", None):
-        mapping = json.loads(Path(args.split_file).read_text(encoding="utf-8"))
-        return corpus.apply_split_file(docs, mapping)
+    if args.split_file:
+        return corpus.apply_split_file(docs, _read_json_object(args.split_file))
     seed = args.seed if args.seed is not None else 0
     return corpus.split_dataset(docs, corpus.SplitSpec(seed=seed))
 
@@ -112,22 +112,7 @@ def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
 def cmd_stats(args) -> int:
     docs = corpus.load_jsonl(args.input)
     stats = corpus.corpus_stats(docs)
-    rows = []
-    for label in corpus.EntityLabel:
-        for region in corpus.Region:
-            cell = stats.cells.get((label, region), corpus.StatsCell())
-            rows.append([label.name, region.display, str(cell.entity_tokens),
-                         str(cell.entities), f"{cell.tokens_per_entity:.2f}"])
-        total = stats.label_total(label)
-        rows.append([label.name, "Total", str(total.entity_tokens),
-                     str(total.entities), f"{total.tokens_per_entity:.2f}"])
-    grand = stats.total
-    rows.append(["Total", "-", str(grand.entity_tokens), str(grand.entities),
-                 f"{grand.tokens_per_entity:.2f}"])
-    print(f"documents: {stats.n_documents}  sentences: {stats.n_sentences}  "
-          f"tokens: {stats.n_tokens}")
-    print(metrics.format_table(
-        ["Entity", "Region", "Tokens", "Entities", "Tokens/Entity"], rows))
+    print(stats.render_text())
     if args.out:
         out = _ensure_out(args)
         _write_json(out / "stats.json", stats.to_json_dict())
@@ -181,9 +166,7 @@ def cmd_convert(args) -> int:
             else:
                 region = corpus.Region.parse(txt.parent.name)
             docs.append(corpus.document_from_brat(
-                txt.stem, region,
-                txt.read_text(encoding="utf-8"), ann.read_text(encoding="utf-8"),
-            ))
+                txt.stem, region, corpus.read_text(txt), corpus.read_text(ann)))
         docs.sort(key=lambda d: d.id)
     else:
         docs = corpus.load_jsonl(args.input)
@@ -398,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HistnerError, OSError, json.JSONDecodeError) as exc:
+    except (HistnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     AlignmentError,
     BratParseError,
-    ConfigError,
     DataError,
     TagError,
     UnsupportedSpanError,
@@ -404,13 +403,8 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 # BRAT pair -> Document
 # ---------------------------------------------------------------------------
 
-def document_from_brat(
-    doc_id: str,
-    region: Region,
-    text_content: str,
-    ann_content: str,
-    year: int | None = None,
-) -> Document:
+def document_from_brat(doc_id: str, region: Region, text_content: str,
+                       ann_content: str) -> Document:
     """Build a Document from a .txt/.ann pair.
 
     Sentences are the non-empty lines of the text file; a span crossing a
@@ -440,26 +434,20 @@ def document_from_brat(
         spans = align_spans(tokens, local)
         tags = encode_iob(spans, len(tokens))
         sentences.append(Sentence(tokens=tokens, tags=tags, region=region))
-    return Document(id=doc_id, region=region, sentences=sentences, year=year)
+    return Document(id=doc_id, region=region, sentences=sentences)
 
 
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
 
+#: The train, valid and test shares of each region's sentences.
+SPLIT_RATIOS = (0.8, 0.1, 0.1)
+
+
 @dataclass
 class SplitSpec:
-    train_ratio: float = 0.8
-    valid_ratio: float = 0.1
-    test_ratio: float = 0.1
     seed: int = 0
-
-    def validate(self):
-        ratios = (self.train_ratio, self.valid_ratio, self.test_ratio)
-        if any(r <= 0 for r in ratios):
-            raise ConfigError(f"split ratios must be positive, got {ratios}")
-        if abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
 
 
 @dataclass
@@ -472,12 +460,12 @@ class Splits:
         return {"train": self.train, "valid": self.valid, "test": self.test}
 
 
-def _allocate(n: int, ratios: Sequence[float]) -> list[int]:
+def _allocate(n: int) -> list[int]:
     # largest-remainder rounding so every part is within one of its target
-    targets = [n * r for r in ratios]
+    targets = [n * r for r in SPLIT_RATIOS]
     counts = [math.floor(t) for t in targets]
     remainder = n - sum(counts)
-    order = sorted(range(len(ratios)), key=lambda i: (-(targets[i] - counts[i]), i))
+    order = sorted(range(len(targets)), key=lambda i: (-(targets[i] - counts[i]), i))
     for i in order[:remainder]:
         counts[i] += 1
     return counts
@@ -493,19 +481,18 @@ def _rebuild(corpus: Corpus, keep: set[tuple[int, int]]) -> Corpus:
 
 
 def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
-    """Sentence-level split, stratified by region, deterministic per seed."""
-    spec.validate()
+    """Sentence-level split of each region by ``SPLIT_RATIOS``, deterministic
+    per seed."""
     by_region: dict[Region, list[tuple[int, int]]] = {}
     for d_idx, doc in enumerate(corpus):
         for s_idx, sent in enumerate(doc.sentences):
             by_region.setdefault(sent.region, []).append((d_idx, s_idx))
     rng = np.random.default_rng(spec.seed)
     assigned: dict[str, set[tuple[int, int]]] = {"train": set(), "valid": set(), "test": set()}
-    ratios = (spec.train_ratio, spec.valid_ratio, spec.test_ratio)
     for region in sorted(by_region):
         keys = by_region[region]
         perm = rng.permutation(len(keys))
-        n_train, n_valid, _ = _allocate(len(keys), ratios)
+        n_train, n_valid, _ = _allocate(len(keys))
         for rank, key_idx in enumerate(perm):
             key = keys[key_idx]
             if rank < n_train:
@@ -522,15 +509,15 @@ def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
 
 
 def apply_split_file(corpus: Corpus, mapping: dict) -> Splits:
-    """Split according to an explicit assignment, overriding ratios.
+    """Split according to an explicit assignment instead of ``SPLIT_RATIOS``.
 
     ``mapping`` has keys train/valid/test; entries are document ids
     (whole document) or ``doc_id#i`` (single sentence). Every sentence
     must be assigned exactly once.
     """
     for part in ("train", "valid", "test"):
-        if part not in mapping:
-            raise DataError(f"split file is missing the {part!r} list")
+        if not isinstance(mapping.get(part), list):
+            raise DataError(f"split file needs a {part!r} list")
     index: dict[str, tuple[int, int]] = {}
     doc_ids: dict[str, list[tuple[int, int]]] = {}
     for d_idx, doc in enumerate(corpus):
@@ -577,6 +564,18 @@ class StatsCell:
     def tokens_per_entity(self) -> float:
         return self.entity_tokens / self.entities if self.entities else 0.0
 
+    @classmethod
+    def summed(cls, cells: Iterable["StatsCell"]) -> "StatsCell":
+        out = cls()
+        for cell in cells:
+            out.entity_tokens += cell.entity_tokens
+            out.entities += cell.entities
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {"entity_tokens": self.entity_tokens, "entities": self.entities,
+                "tokens_per_entity": round(self.tokens_per_entity, 4)}
+
 
 @dataclass
 class CorpusStats:
@@ -586,50 +585,44 @@ class CorpusStats:
     cells: dict[tuple[EntityLabel, Region], StatsCell]
 
     def label_total(self, label: EntityLabel) -> StatsCell:
-        out = StatsCell()
-        for region in Region:
-            cell = self.cells.get((label, region))
-            if cell:
-                out.entity_tokens += cell.entity_tokens
-                out.entities += cell.entities
-        return out
+        return StatsCell.summed(self.cells.get((label, r), StatsCell()) for r in Region)
 
     @property
     def total(self) -> StatsCell:
-        out = StatsCell()
-        for cell in self.cells.values():
-            out.entity_tokens += cell.entity_tokens
-            out.entities += cell.entities
-        return out
+        return StatsCell.summed(self.cells.values())
+
+    def _rows(self) -> Iterator[tuple[str, str, StatsCell]]:
+        """``(label, region, cell)`` for every region of every label, each
+        label followed by its ``Total`` row."""
+        for label in EntityLabel:
+            for region in Region:
+                yield label.name, region.display, self.cells.get((label, region), StatsCell())
+            yield label.name, "Total", self.label_total(label)
 
     def to_json_dict(self) -> dict:
-        per_label = {}
-        for label in EntityLabel:
-            rows = {}
-            for region in Region:
-                cell = self.cells.get((label, region), StatsCell())
-                rows[region.display] = {
-                    "entity_tokens": cell.entity_tokens,
-                    "entities": cell.entities,
-                    "tokens_per_entity": round(cell.tokens_per_entity, 4),
-                }
-            tot = self.label_total(label)
-            rows["Total"] = {
-                "entity_tokens": tot.entity_tokens,
-                "entities": tot.entities,
-                "tokens_per_entity": round(tot.tokens_per_entity, 4),
-            }
-            per_label[label.name] = rows
-        total = self.total
-        return {
-            "documents": self.n_documents,
-            "sentences": self.n_sentences,
-            "tokens": self.n_tokens,
-            "entities": total.entities,
-            "entity_tokens": total.entity_tokens,
-            "tokens_per_entity": round(total.tokens_per_entity, 4),
-            "per_label": per_label,
-        }
+        per_label: dict[str, dict] = {}
+        for label, region, cell in self._rows():
+            per_label.setdefault(label, {})[region] = cell.to_json_dict()
+        return {"documents": self.n_documents, "sentences": self.n_sentences,
+                "tokens": self.n_tokens, **self.total.to_json_dict(), "per_label": per_label}
+
+    def render_text(self) -> str:
+        rows = [[label, region, str(cell.entity_tokens), str(cell.entities),
+                 f"{cell.tokens_per_entity:.2f}"]
+                for label, region, cell in [*self._rows(), ("Total", "-", self.total)]]
+        return (f"documents: {self.n_documents}  sentences: {self.n_sentences}  "
+                f"tokens: {self.n_tokens}\n"
+                + format_table(["Entity", "Region", "Tokens", "Entities", "Tokens/Entity"], rows))
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    cols = [[str(h)] + [str(r[i]) for r in rows] for i, h in enumerate(headers)]
+    widths = [max(len(v) for v in col) for col in cols]
+    def fmt(values):
+        return "  ".join(str(v).ljust(w) for v, w in zip(values, widths)).rstrip()
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in rows)
+    return "\n".join(lines)
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
@@ -740,8 +733,16 @@ def loads_jsonl(content: str) -> Corpus:
     return _corpus_from_records(_json_lines(content))
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; other bytes are a ``DataError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_jsonl(path: str | Path) -> Corpus:
-    return loads_jsonl(Path(path).read_text(encoding="utf-8"))
+    return loads_jsonl(read_text(path))
 
 
 def dumps_conll(corpus: Corpus) -> str:
@@ -809,7 +810,7 @@ def load_histnero(directory: str | Path) -> Splits:
                 break
         if path is None:
             raise DataError(f"no {part} file found in {directory}")
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
         if text.lstrip().startswith("["):
             try:
                 rows = enumerate(json.loads(text), start=1)

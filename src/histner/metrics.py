@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, EntityLabel, EntitySpan, Region
+from .corpus import Document, EntityLabel, EntitySpan, Region, format_table
 from .errors import DataError
 
 
@@ -251,16 +251,3 @@ def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> Agreemen
 
     return AgreementReport(overall=overall, per_region=per_region, per_label=per_label)
 
-
-# ---------------------------------------------------------------------------
-# Plain-text table rendering shared by the report emitters
-# ---------------------------------------------------------------------------
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    cols = [[str(h)] + [str(r[i]) for r in rows] for i, h in enumerate(headers)]
-    widths = [max(len(v) for v in col) for col in cols]
-    def fmt(values):
-        return "  ".join(str(v).ljust(w) for v, w in zip(values, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)

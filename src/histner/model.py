@@ -239,25 +239,27 @@ class RowSparse:
         documented contract; it was checked on numpy 2.4.6, and
         ``TestRowSparse`` fails if an installed numpy sums otherwise.
         """
-        width = self.values.shape[1]
         squares = self.values * self.values
-        rows = self.rows.tolist()
+        return self._run_sum(self.rows.tolist(), squares, 0, self.n_rows * squares.shape[1])
 
-        def run_sum(lo: int, hi: int) -> float:
-            first = bisect.bisect_left(rows, lo // width)
-            last = bisect.bisect_right(rows, (hi - 1) // width)
-            if first == last:
-                return 0.0
-            if hi - lo <= _DENSE_RUN:
-                top = lo // width
-                block = np.zeros(((hi - 1) // width + 1 - top, width))
-                block[self.rows[first:last] - top] = squares[first:last]
-                return float(block.ravel()[lo - top * width : hi - top * width].sum())
-            half = (hi - lo) // 2
-            half -= half % 8
-            return run_sum(lo, lo + half) + run_sum(lo + half, hi)
-
-        return run_sum(0, self.n_rows * width)
+    def _run_sum(self, rows: list[int], squares: np.ndarray, lo: int, hi: int) -> float:
+        # a method, not a nested closure: a closure that calls itself is a
+        # reference cycle, which keeps the gradient alive until the cyclic
+        # garbage collector runs
+        width = squares.shape[1]
+        first = bisect.bisect_left(rows, lo // width)
+        last = bisect.bisect_right(rows, (hi - 1) // width)
+        if first == last:
+            return 0.0
+        if hi - lo <= _DENSE_RUN:
+            top = lo // width
+            block = np.zeros(((hi - 1) // width + 1 - top, width))
+            block[self.rows[first:last] - top] = squares[first:last]
+            return float(block.ravel()[lo - top * width : hi - top * width].sum())
+        half = (hi - lo) // 2
+        half -= half % 8
+        return (self._run_sum(rows, squares, lo, lo + half)
+                + self._run_sum(rows, squares, lo + half, hi))
 
 
 @dataclass

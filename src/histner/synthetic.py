@@ -189,8 +189,6 @@ def two_domain_corpus(seed: int) -> Splits:
 class RegionalConfig:
     n_train_per_region: int = 110
     n_eval_per_region: int = 30
-    n_anchor_types: int = 40
-    n_filler_types: int = 5
     vocab_size: int = BENCHMARK_VOCAB
 
 
@@ -217,8 +215,8 @@ def regional_corpus(seed: int, coupled: bool = True,
     rng = np.random.default_rng(seed)
     suffixes = COUPLED_SUFFIXES if coupled else DISTINCT_SUFFIXES
     factory = _WordFactory(rng, cfg.vocab_size, sorted(set(suffixes.values())))
-    fillers = factory.stems(cfg.n_filler_types)
-    anchor_stems = factory.stems(cfg.n_anchor_types)
+    fillers = factory.stems(5)
+    anchor_stems = factory.stems(40)
     anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(anchor_stems)]
     sampler = _AnchorSampler(rng, fillers, anchors)
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import Region, Sentence, TAG_ALPHABET, TAG_TO_ID, decode_iob, iter_sentences
+from .corpus import Region, Sentence, TAG_ALPHABET, TAG_TO_ID, decode_iob, format_table, iter_sentences
 from .errors import ConfigError, DataError, HistnerError, TagError, TrainingError
-from .metrics import PRF, StrictF1Report, format_table, span_counts
+from .metrics import PRF, StrictF1Report, span_counts
 
 MODES = ("baseline", "grad_rev", "loss_rev")
 

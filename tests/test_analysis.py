@@ -88,16 +88,6 @@ class TestTfIdf:
         rank_doubled = [e.term for e in tfidf_top_k(corpus_from_texts(doubled), k=10)[Region.BESSARABIA]]
         assert rank_base == rank_doubled
 
-    def test_stopwords_removed(self):
-        corpus = corpus_from_texts(
-            {
-                Region.BESSARABIA: [["si", "tara"]],
-                Region.MOLDAVIA: [["si", "alt"]],
-            }
-        )
-        ranking = tfidf_top_k(corpus, k=5, stopwords=["si"])
-        assert all(e.term != "si" for entries in ranking.values() for e in entries)
-
     def test_tsv_rendering(self):
         corpus = corpus_from_texts(
             {

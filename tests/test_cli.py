@@ -264,9 +264,23 @@ def _checkpoint_case(write):
 def _config_case(payload):
     def build(tmp_path, corpus_file):
         path = tmp_path / "bad_config.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         return ["train", "--input", corpus_file, "--config", path, "--out", tmp_path / "o"]
     return build
+
+
+def _split_file_case(content: bytes):
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "bad_split.json"
+        path.write_bytes(content)
+        return ["split", "--input", corpus_file, "--split-file", path, "--out", tmp_path / "o"]
+    return build
+
+
+def _non_utf8_corpus_case(tmp_path, corpus_file):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b"\xff" + corpus_file.read_bytes())
+    return ["stats", "--input", path]
 
 
 MALFORMED = {
@@ -298,6 +312,15 @@ MALFORMED = {
     "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
     "tagger config sets the domain count": (
         _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
+    "corpus is not UTF-8": (_non_utf8_corpus_case, "latin1.jsonl: not UTF-8"),
+    "config file is not UTF-8": (_config_case(b'\xff{"train": {}}'), "bad_config.json: not UTF-8"),
+    "config file is invalid JSON": (_config_case(b'{"train": '), "bad_config.json: invalid JSON"),
+    "config file is not an object": (_config_case([1, 2]), "bad_config.json"),
+    "split file is not UTF-8": (_split_file_case(b"\xff{}"), "bad_split.json: not UTF-8"),
+    "split file is invalid JSON": (_split_file_case(b"{nope"), "bad_split.json: invalid JSON"),
+    "split file is not an object": (_split_file_case(b"5"), "bad_split.json"),
+    "split file part is not a list": (
+        _split_file_case(b'{"train": 5, "valid": [], "test": []}'), "'train' list"),
 }
 
 

@@ -32,7 +32,6 @@ from histner.corpus import (
 from histner.errors import (
     AlignmentError,
     BratParseError,
-    ConfigError,
     DataError,
     TagError,
     UnsupportedSpanError,
@@ -326,9 +325,23 @@ def _sentence_set(docs):
 
 
 class TestSplitDataset:
-    def test_bad_ratios(self):
-        with pytest.raises(ConfigError):
-            split_dataset([], SplitSpec(0.5, 0.3, 0.3))
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=len(Region)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_ratios_per_region(self, sizes, seed):
+        corpus = [
+            make_doc(f"doc-{region.name.lower()}",
+                     [make_sentence([f"w{i}"], ["O"], region) for i in range(n)], region)
+            for region, n in zip(Region, sizes)
+        ]
+        splits = split_dataset(corpus, SplitSpec(seed=seed))
+        def keys(docs):
+            return sorted((d.id, s.tokens[0].text) for d in docs for s in d.sentences)
+        assert keys(splits.train + splits.valid + splits.test) == keys(corpus)
+        for part, ratio in zip(splits.parts().values(), C.SPLIT_RATIOS):
+            for region, n in zip(Region, sizes):
+                got = sum(len(d.sentences) for d in part if d.region == region)
+                assert abs(got - n * ratio) <= 1
 
     def test_deterministic(self):
         corpus = _n_region_corpus()
@@ -420,6 +433,21 @@ class TestCorpusStats:
         stats = corpus_stats(tiny_corpus)
         assert stats.n_sentences == 3
         assert stats.n_tokens == 12
+
+    def test_text_table_rows_match_json(self, tiny_corpus):
+        stats = corpus_stats(tiny_corpus)
+        payload = stats.to_json_dict()
+        lines = stats.render_text().splitlines()
+        assert lines[0] == "documents: 3  sentences: 3  tokens: 12"
+        rows = [line.split() for line in lines[3:]]
+        expected = [
+            [label, region, str(cell["entity_tokens"]), str(cell["entities"]),
+             f"{cell['tokens_per_entity']:.2f}"]
+            for label, cells in payload["per_label"].items() for region, cell in cells.items()
+        ]
+        expected.append(["Total", "-", str(payload["entity_tokens"]),
+                         str(payload["entities"]), f"{payload['tokens_per_entity']:.2f}"])
+        assert rows == expected
 
 
 # ---------------------------------------------------------------------------
@@ -527,4 +555,11 @@ class TestHistneroAdapter:
     def test_missing_part(self, tmp_path):
         (tmp_path / "train.json").write_text("{}")
         with pytest.raises(DataError):
+            C.load_histnero(tmp_path)
+
+    def test_non_utf8_part_names_its_file(self, tmp_path):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+        (tmp_path / "test.json").write_bytes(b"\xff" + json.dumps(_RELEASE_ROW).encode())
+        with pytest.raises(DataError, match="test.json: not UTF-8"):
             C.load_histnero(tmp_path)

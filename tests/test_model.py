@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +225,19 @@ class TestRowSparse:
         grad = M.RowSparse(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 10)
         assert grad.squared_sum() == 0.0
         assert not grad.dense().any()
+
+    def test_squared_sum_leaves_no_reference_cycle(self):
+        # without the cyclic collector, the gradient must be freed as soon
+        # as its last reference goes
+        grad = M.RowSparse(np.array([0, 5000]), np.ones((2, 4)), 6000)
+        ref = weakref.ref(grad)
+        gc.disable()
+        try:
+            assert grad.squared_sum() == 8.0
+            del grad
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestPredict:

@@ -28,6 +28,18 @@ def test_adaptation_benchmark():
     assert all(len(r) == 6 for r in rows)
 
 
+def test_source_loc():
+    lines = run_script("source_loc.py")
+    counts = {name: int(n) for n, name in (line.split() for line in lines)}
+    files = {str(f.relative_to(ROOT)): f for f in (ROOT / "src" / "histner").rglob("*.py")}
+    assert counts.pop("total") == sum(counts.values())
+    assert counts == {
+        name: sum(1 for line in f.read_text().splitlines()
+                  if line.strip() and not line.lstrip().startswith("#"))
+        for name, f in files.items()
+    }
+
+
 def test_crossregion_matrix():
     lines = run_script("run_crossregion_matrix.py", "--epochs", "1")
     for region in Region:
