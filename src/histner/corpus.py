@@ -47,7 +47,8 @@ class Region(enum.IntEnum):
     def parse(cls, value) -> "Region":
         if isinstance(value, Region):
             return value
-        if isinstance(value, int):
+        # a JSON true or false is a bool, which Python counts as an int
+        if isinstance(value, int) and not isinstance(value, bool):
             try:
                 return cls(value)
             except ValueError:
@@ -742,7 +743,12 @@ def read_text(path: str | Path) -> str:
 
 
 def load_jsonl(path: str | Path) -> Corpus:
-    return loads_jsonl(read_text(path))
+    """A JSONL corpus file; a malformed record's error names the file."""
+    content = read_text(path)
+    try:
+        return loads_jsonl(content)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def dumps_conll(corpus: Corpus) -> str:
@@ -818,6 +824,9 @@ def load_histnero(directory: str | Path) -> Splits:
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         else:
             rows = _json_lines(text)
-        parts[part] = _corpus_from_records(
-            (n, _release_record(obj, n, f"{part}-{n - 1:05d}")) for n, obj in rows)
+        try:
+            parts[part] = _corpus_from_records(
+                (n, _release_record(obj, n, f"{part}-{n - 1:05d}")) for n, obj in rows)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     return Splits(train=parts["train"], valid=parts["valid"], test=parts["test"])

@@ -143,11 +143,13 @@ class TaggerParams:
                 key = f"{group}.{name}"
                 if key not in data:
                     raise DataError(f"{path}: missing parameter {key}")
-                loaded = data[key]
-                if loaded.shape != arr.shape:
-                    raise DataError(
-                        f"{path}: parameter {key} has shape {loaded.shape}, expected {arr.shape}"
-                    )
+                try:
+                    loaded = data[key]
+                except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                    raise DataError(f"{path}: parameter {key} cannot be loaded ({exc})") from exc
+                if loaded.dtype != np.float64 or loaded.shape != arr.shape:
+                    raise DataError(f"{path}: parameter {key} is {loaded.dtype} of shape "
+                                    f"{loaded.shape}, expected float64 of shape {arr.shape}")
                 arr[...] = loaded
         return params
 
@@ -296,8 +298,7 @@ class ForwardGraph:
         return RowSparse(rows, values, self.n_table_rows)
 
     def gradient(self, key: tuple[str, str]) -> np.ndarray:
-        if key == EMBED:
-            return self.embed_gradient().dense()
+        """A leaf's dense gradient; the table's is ``embed_gradient``."""
         leaf = self.leaves[key]
         return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
 

@@ -109,7 +109,7 @@ def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
-def _losses_and_gradients(
+def compute_losses(
     params: m.TaggerParams,
     batch: Sequence[EncodedSentence],
     mode: str,
@@ -133,35 +133,17 @@ def _losses_and_gradients(
     l_d = ad.mean(ad.softmax_cross_entropy(graph.domain_logits, regions))
     if mode == "baseline":
         total = l_y
-        reported = float(l_y.value)
     elif mode == "grad_rev":
         # reported sum is for monitoring; the routing defines the method
         total = ad.add(l_y, l_d)
-        reported = float(total.value)
     else:
         total = ad.sub(l_y, ad.mul(l_d, lam))
-        reported = float(total.value)
     ad.backward(total)
     grads = {
         key: graph.embed_gradient() if key == m.EMBED else graph.gradient(key)
         for key, _ in params.items_flat()
     }
-    breakdown = LossBreakdown(l_y=float(l_y.value), l_d=float(l_d.value), l_total=reported)
-    return breakdown, grads
-
-
-def compute_losses(
-    params: m.TaggerParams,
-    batch: Sequence[EncodedSentence],
-    mode: str,
-    lam: float,
-) -> tuple[LossBreakdown, dict[tuple[str, str], np.ndarray]]:
-    """One combined graph over the batch; returns the loss breakdown and
-    the dense gradients for every parameter (zeros where a head is
-    untouched)."""
-    breakdown, grads = _losses_and_gradients(params, batch, mode, lam)
-    grads[m.EMBED] = grads[m.EMBED].dense()
-    return breakdown, grads
+    return LossBreakdown(l_y=float(l_y.value), l_d=float(l_d.value), l_total=float(total.value)), grads
 
 
 def _squared_sum(grad: np.ndarray | m.RowSparse) -> float:
@@ -225,14 +207,25 @@ def _decay(arr: np.ndarray, factor: float) -> None:
         block -= factor * block
 
 
-def _moments_and_update(state: AdamState, m_prev, v_prev, grad, lr: float):
-    """The new first and second moments and the step to subtract."""
-    t = state.step
-    m_new = _BETA1 * m_prev + (1 - _BETA1) * grad
-    v_new = _BETA2 * v_prev + (1 - _BETA2) * grad * grad
-    m_hat = m_new / (1 - _BETA1 ** t)
-    v_hat = v_new / (1 - _BETA2 ** t)
-    return m_new, v_new, lr * m_hat / (np.sqrt(v_hat) + _EPS)
+def _adam_update(arr, m_, v_, grad, lr: float, t: int) -> None:
+    """Step ``t`` of Adam in place of ``arr`` and its moments ``m_`` and
+    ``v_``, all of ``grad``'s shape, with two temporaries."""
+    # m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then (lr*m_hat) / (sqrt(v_hat) + eps),
+    # operation for operation as written, so every bit is kept
+    tmp = (1 - _BETA1) * grad
+    m_ *= _BETA1
+    m_ += tmp
+    np.multiply(1 - _BETA2, grad, out=tmp)
+    tmp *= grad
+    v_ *= _BETA2
+    v_ += tmp
+    np.divide(m_, 1 - _BETA1 ** t, out=tmp)
+    tmp *= lr
+    denom = v_ / (1 - _BETA2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    tmp /= denom
+    arr -= tmp
 
 
 def adam_step(
@@ -265,6 +258,7 @@ def adam_step(
         if key not in state.m:
             state.m[key] = np.zeros_like(arr)
             state.v[key] = np.zeros_like(arr)
+        m_, v_ = state.m[key], state.v[key]
         if sparse:
             touched = state.touched.setdefault(key, np.zeros(len(arr), dtype=bool))
             touched[grad.rows] = True
@@ -272,16 +266,12 @@ def adam_step(
             if len(rows) <= _SPARSE_SHARE * len(arr):
                 row_grad = np.zeros((len(rows), *arr.shape[1:]))
                 row_grad[np.searchsorted(rows, grad.rows)] = grad.values
-                m_rows, v_rows, update = _moments_and_update(
-                    state, state.m[key][rows], state.v[key][rows], row_grad, lr)
-                state.m[key][rows] = m_rows
-                state.v[key][rows] = v_rows
-                arr[rows] -= update
+                gathered = arr[rows], m_[rows], v_[rows]
+                _adam_update(*gathered, row_grad, lr, state.step)
+                arr[rows], m_[rows], v_[rows] = gathered
                 continue
             grad = grad.dense()
-        state.m[key], state.v[key], update = _moments_and_update(
-            state, state.m[key], state.v[key], grad, lr)
-        arr -= update
+        _adam_update(arr, m_, v_, grad, lr, state.step)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +441,7 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             batch = [encoded[i] for i in order[lo : lo + config.batch_size]]
             try:
-                breakdown, grads = _losses_and_gradients(
-                    params, batch, config.mode, config.lam)
+                breakdown, grads = compute_losses(params, batch, config.mode, config.lam)
             except HistnerError as exc:
                 raise TrainingError(
                     f"epoch {epoch}, batch at {lo}: {exc}"

@@ -1,10 +1,20 @@
 import pytest
 
+from histner import model as M
+from histner import training as T
 from histner.corpus import Document, Region, sentence_from_texts
 
 
 def make_sentence(texts, tags, region=Region.BESSARABIA):
     return sentence_from_texts(texts, tags, region)
+
+
+def dense_losses(params, batch, mode, lam):
+    """``training.compute_losses`` with the embedding table's row-sparse
+    gradient densified, so every gradient is an array."""
+    breakdown, grads = T.compute_losses(params, batch, mode, lam)
+    grads[M.EMBED] = grads[M.EMBED].dense()
+    return breakdown, grads
 
 
 def make_doc(doc_id, sentences, region=None, year=None):

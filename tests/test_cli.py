@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histner import cli
 from histner.corpus import dumps_jsonl, save_jsonl
-from histner.model import CHECKPOINT_VERSION
+from histner.model import CHECKPOINT_VERSION, TaggerConfig, init_params
 from histner.synthetic import regional_corpus, separable_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -261,6 +266,24 @@ def _checkpoint_case(write):
     return build
 
 
+def _embed_table_case(convert):
+    """An ``eval`` run on a checkpoint whose table array is ``convert``ed."""
+    def write(path):
+        init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16)).save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["extractor.embed"] = convert(arrays["extractor.embed"])
+        np.savez(path, **arrays)
+    return _checkpoint_case(write)
+
+
+def _iaa_case(tmp_path, corpus_file):
+    path = tmp_path / "layer_b.jsonl"
+    lines = corpus_file.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "[1, 2]", *lines[2:]]) + "\n")
+    return ["iaa", "--input", corpus_file, "--input-b", path]
+
+
 def _config_case(payload):
     def build(tmp_path, corpus_file):
         path = tmp_path / "bad_config.json"
@@ -289,6 +312,8 @@ MALFORMED = {
     "tags hold a number": (_jsonl_case({**_RECORD, "tags": ["B-PERSON", 0]}), "line 1"),
     "year is a string": (_jsonl_case({**_RECORD, "year": "1900"}), "line 1"),
     "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
+    "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
+    "second iaa layer has a bad record": (_iaa_case, "layer_b.jsonl: line 2"),
     "checkpoint is not an npz": (
         _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),
     "checkpoint metadata unreadable": (
@@ -298,6 +323,10 @@ MALFORMED = {
         _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(json.dumps(
             {"version": CHECKPOINT_VERSION, "config": {"hidden_dim": 0}}).encode(), np.uint8))),
         "bad.npz"),
+    "checkpoint table is an object array": (
+        _embed_table_case(lambda a: a.astype(object)), "bad.npz: parameter extractor.embed"),
+    "checkpoint table holds strings": (
+        _embed_table_case(lambda a: a.astype(str)), "bad.npz: parameter extractor.embed"),
     "unknown tagger config key": (
         _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),
     "unknown train config key": (
@@ -335,3 +364,86 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     assert len(errors) == 1, err
     assert fragment in errors[0]
     assert "Traceback" not in err
+
+
+# A bounded fuzz of the file boundary: one record of a valid corpus, and the
+# split file, are mutated; every command must then succeed or end in one
+# error line. Numeric --config sizes are left out: they allocate what they ask.
+
+_FUZZ_RECORDS = [
+    {**_RECORD, "doc_id": "d1", "year": 1900},
+    {**_RECORD, "doc_id": "d1", "tokens": ["la", "Iasi"], "tags": ["O", "B-LOCATION"],
+     "year": 1900},
+    {**_RECORD, "doc_id": "d2", "region": "Wallachia", "year": 1880},
+    {**_RECORD, "doc_id": "d3", "region": "Transylvania", "tokens": ["anul", "1848"],
+     "tags": ["O", "B-DATE"], "year": 1848},
+    {**_RECORD, "doc_id": "d4", "region": "Bessarabia", "year": 1920},
+]
+_FUZZ_SPLIT = {"train": ["d1", "d2"], "valid": ["d3"], "test": ["d4"]}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _mutated_json(draw, obj: dict) -> str:
+    """``obj`` as JSON with one key replaced by any small JSON value or
+    dropped, or arbitrary text in its place."""
+    action = draw(st.sampled_from(["replace", "drop", "text"]))
+    if action == "text":
+        return draw(st.text(max_size=20))
+    key = draw(st.sampled_from(sorted(obj)))
+    obj = {k: v for k, v in obj.items() if k != key}
+    if action == "replace":
+        obj[key] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+@st.composite
+def _fuzz_inputs(draw):
+    lines = [json.dumps(r) for r in _FUZZ_RECORDS]
+    index = draw(st.integers(0, len(lines) - 1))
+    lines[index] = draw(_mutated_json(_FUZZ_RECORDS[index]))
+    split = dict(_FUZZ_SPLIT)
+    if draw(st.booleans()):
+        part = draw(st.sampled_from(sorted(split)))
+        split[part] = [*split[part], draw(_JSON_VALUES)]
+        split_text = json.dumps(split)
+    else:
+        split_text = draw(_mutated_json(split))
+    return "\n".join(lines) + "\n", split_text
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_inputs())
+def test_fuzzed_inputs_end_in_success_or_one_error_line(inputs):
+    corpus_text, split_text = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        good, bad, split = tmp / "good.jsonl", tmp / "bad.jsonl", tmp / "split.json"
+        good.write_text("".join(json.dumps(r) + "\n" for r in _FUZZ_RECORDS), encoding="utf-8")
+        bad.write_text(corpus_text, encoding="utf-8")
+        split.write_text(split_text, encoding="utf-8")
+        for argv in (
+            ["stats", "--input", bad],
+            ["validate", "--input", bad],
+            ["split", "--input", bad, "--out", tmp / "split_bad"],
+            ["split", "--input", good, "--split-file", split, "--out", tmp / "split_file"],
+            ["iaa", "--input", good, "--input-b", bad],
+            ["tfidf", "--input", bad],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            lines = err.getvalue().splitlines()
+            errors = [line for line in lines if line.startswith("error:")]
+            if argv[0] == "validate" and code == 1 and not errors:
+                # a corpus that loads but breaks the annotation rules
+                assert lines and lines[-1].endswith(" violations"), (argv[0], lines)
+            else:
+                assert code == 0 or (code == 1 and len(errors) == 1), (argv[0], code, lines)
+            assert "Traceback" not in err.getvalue()

@@ -529,9 +529,10 @@ class TestHistneroAdapter:
         {**_RELEASE_ROW, "ner_tags": [1, "O"]},
         {**_RELEASE_ROW, "ner_tags": [-1, 0]},
         {**_RELEASE_ROW, "ner_tags": [True, False]},
+        {"tokens": ["Ion", "merge"], "ner_tags": [1, 0], "region_id": True},
         [1, 2],
     ], ids=["tokens string", "token number", "tags string", "tags mixed",
-            "negative tag index", "tags bool", "record is an array"])
+            "negative tag index", "tags bool", "region_id bool", "record is an array"])
     def test_malformed_record_names_its_line(self, tmp_path, record):
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
@@ -549,7 +550,7 @@ class TestHistneroAdapter:
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
         (tmp_path / "valid.json").write_text(json.dumps(_RELEASE_ROW) + "\n\n" + bad_line + "\n")
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=f"valid.json: {message}"):
             C.load_histnero(tmp_path)
 
     def test_missing_part(self, tmp_path):

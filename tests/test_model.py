@@ -193,16 +193,6 @@ class TestGatherBoundary:
         with pytest.raises(NonFiniteError):
             M.forward_windows(params, win)
 
-    def test_embed_gradient_densifies_to_gradient(self):
-        params = M.init_params(small_config())
-        graph = M.forward(params, M.featurize(["unu", "doi", "unu"], 512))
-        ad.backward(ad.mean(ad.softmax_cross_entropy(graph.ner_logits, np.array([0, 1, 2]))))
-        sparse = graph.embed_gradient()
-        dense = graph.gradient(M.EMBED)
-        assert sparse.rows.tolist() == sorted(set(graph.win_ids.ravel().tolist()))
-        assert np.array_equal(sparse.dense(), dense)
-        assert not np.delete(dense, sparse.rows, axis=0).any()
-
 
 class TestRowSparse:
     @pytest.mark.parametrize("n_rows,width", [(7, 3), (513, 8), (4097, 6), (32769, 64)])

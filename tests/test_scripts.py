@@ -1,5 +1,8 @@
-"""Smoke runs of the experiment scripts at one epoch."""
+"""Smoke runs of the experiment scripts at one epoch, and checks of the
+benchmark's hooks into the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +48,18 @@ def test_crossregion_matrix():
     for region in Region:
         row = next(line for line in lines if line.startswith(region.display))
         assert len(row.split()) == 1 + len(Region)
+
+
+def test_benchmark_spans_name_package_attributes(monkeypatch):
+    # the traced benchmark run wraps each span's attribute through __dict__
+    # and fails with a KeyError on a name that no longer exists
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)  # for its dataclasses
+    spec.loader.exec_module(spans)
+    for name in spans.SPANS:
+        module, *owners, attr = name.split(".")
+        owner = importlib.import_module(f"histner.{module}")
+        for part in owners:
+            owner = owner.__dict__[part]
+        assert attr in owner.__dict__, name

@@ -19,7 +19,7 @@ from histner.synthetic import (
     two_domain_corpus,
 )
 
-from conftest import make_sentence
+from conftest import dense_losses, make_sentence
 
 SMALL = dict(vocab_size=512, embed_dim=8, hidden_dim=16, context_window=2)
 
@@ -90,8 +90,8 @@ class TestComputeLosses:
         config = small_config()
         params = M.init_params(config)
         batch = random_batch(rng, config)
-        base, base_grads = T.compute_losses(params, batch, "baseline", 0.0)
-        rev, rev_grads = T.compute_losses(params, batch, "loss_rev", 0.0)
+        base, base_grads = dense_losses(params, batch, "baseline", 0.0)
+        rev, rev_grads = dense_losses(params, batch, "loss_rev", 0.0)
         assert rev.l_total == base.l_y
         for key in base_grads:
             if key[0] in ("extractor", "ner_head"):
@@ -102,8 +102,8 @@ class TestComputeLosses:
         config = small_config()
         params = M.init_params(config)
         batch = random_batch(rng, config)
-        _, base_grads = T.compute_losses(params, batch, "baseline", 0.0)
-        _, gr_grads = T.compute_losses(params, batch, "grad_rev", 0.0)
+        _, base_grads = dense_losses(params, batch, "baseline", 0.0)
+        _, gr_grads = dense_losses(params, batch, "grad_rev", 0.0)
         for key in base_grads:
             if key[0] in ("extractor", "ner_head"):
                 assert np.array_equal(base_grads[key], gr_grads[key]), key
@@ -122,8 +122,8 @@ class TestComputeLosses:
         config = small_config()
         params = M.init_params(config)
         batch = random_batch(rng, config)
-        _, g = T.compute_losses(params, batch, "grad_rev", 0.1)
-        _, l = T.compute_losses(params, batch, "loss_rev", 0.1)
+        _, g = dense_losses(params, batch, "grad_rev", 0.1)
+        _, l = dense_losses(params, batch, "loss_rev", 0.1)
         for key in g:
             if key[0] in ("extractor", "ner_head"):
                 assert _norm_close(g[key], l[key]), key
@@ -676,14 +676,14 @@ class TestRowSparseStepMatchesDenseReference:
         steps = config.epochs * -(-len(train_s) // config.batch_size)
         assert 0 < clipped < steps
         updated = []  # rows of the table each Adam step updated
-        moments_and_update = T._moments_and_update
+        adam_update = T._adam_update
 
-        def spy(state, m_prev, v_prev, grad, lr):
+        def spy(arr, m_, v_, grad, lr, t):
             if grad.shape[1:] == (tagger_config.embed_dim,):
                 updated.append(len(grad))
-            return moments_and_update(state, m_prev, v_prev, grad, lr)
+            return adam_update(arr, m_, v_, grad, lr, t)
 
-        monkeypatch.setattr(T, "_moments_and_update", spy)
+        monkeypatch.setattr(T, "_adam_update", spy)
         trained = T.train(train_s, valid_s, tagger_config, config).final_params
         for (key, got), (_, want) in zip(trained.items_flat(), reference.items_flat()):
             assert np.array_equal(got, want), key
@@ -697,7 +697,7 @@ class TestRowSparseStepMatchesDenseReference:
         config = small_config()
         params = M.init_params(config)
         batch = random_batch(rng, config, n_sentences=6)
-        _, grads = T.compute_losses(params, batch, mode, 0.2)
+        _, grads = dense_losses(params, batch, mode, 0.2)
         reference = _reference_gradients(params, batch, mode, 0.2)
         assert list(grads) == list(reference)
         for key in reference:
