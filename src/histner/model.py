@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import numbers
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -29,6 +30,12 @@ _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
 CHECKPOINT_VERSION = 1
+
+#: What reading a damaged checkpoint file raises: numpy parses an array's
+#: header with ``tokenize``, and ``zipfile`` raises ``RuntimeError`` for an
+#: entry flagged as encrypted.
+_UNREADABLE = (ValueError, EOFError, RuntimeError, NotImplementedError,
+               zipfile.BadZipFile, tokenize.TokenError)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -120,8 +127,8 @@ class TaggerParams:
     def load(cls, path: str | Path) -> "TaggerParams":
         try:
             data = np.load(path)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise DataError(f"{path}: not a tagger checkpoint ({exc})") from exc
+        except _UNREADABLE as exc:
+            raise DataError(f"{path}: not a tagger checkpoint ({exc!r})") from exc
         if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data:
             raise DataError(f"{path}: not a tagger checkpoint")
         with data:
@@ -134,19 +141,17 @@ class TaggerParams:
                 for key, size in (("n_tags", len(TAG_ALPHABET)), ("n_domains", len(Region))):
                     if values.pop(key, size) != size:
                         raise DataError(f"{path}: checkpoint {key} is not {size}")
-                config = TaggerConfig(**values)
-                config.validate()
-            except (ValueError, TypeError, KeyError, ConfigError) as exc:
+                params = init_params(TaggerConfig(**values))
+            except (*_UNREADABLE, TypeError, KeyError, ConfigError) as exc:
                 raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
-            params = init_params(config)
             for (group, name), arr in params.items_flat():
                 key = f"{group}.{name}"
                 if key not in data:
                     raise DataError(f"{path}: missing parameter {key}")
                 try:
                     loaded = data[key]
-                except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                    raise DataError(f"{path}: parameter {key} cannot be loaded ({exc})") from exc
+                except _UNREADABLE as exc:
+                    raise DataError(f"{path}: parameter {key} cannot be loaded ({exc!r})") from exc
                 if loaded.dtype != np.float64 or loaded.shape != arr.shape:
                     raise DataError(f"{path}: parameter {key} is {loaded.dtype} of shape "
                                     f"{loaded.shape}, expected float64 of shape {arr.shape}")
@@ -160,8 +165,12 @@ def init_params(config: TaggerConfig) -> TaggerParams:
     rng = np.random.default_rng(config.seed)
 
     def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+        # every size enters one of these draws before any other allocation
+        try:
+            bound = 1.0 / np.sqrt(float(fan_in))
+            return rng.uniform(-bound, bound, size=shape)
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise ConfigError(f"cannot allocate a {shape} parameter for {config} ({exc})") from exc
 
     extractor = {
         "embed": uniform((config.vocab_size + 1, config.embed_dim), config.embed_dim),
@@ -180,27 +189,17 @@ def init_params(config: TaggerConfig) -> TaggerParams:
 
 
 def featurize(token_texts: Sequence[str], vocab_size: int) -> np.ndarray:
-    """Case-folded FNV-1a hash of each token, reduced mod vocab_size."""
-    return np.array(
-        [_fnv1a(t.lower().encode("utf-8")) % vocab_size for t in token_texts],
-        dtype=np.int64,
-    )
+    """Case-folded FNV-1a hash of each token, reduced mod vocab_size; each
+    distinct text is hashed once."""
+    ids = {t: _fnv1a(t.lower().encode("utf-8")) % vocab_size for t in set(token_texts)}
+    return np.array([ids[t] for t in token_texts], dtype=np.int64)
 
 
 def window_matrix(ids: np.ndarray, window: int, pad_id: int) -> np.ndarray:
     """(n, 2w+1) id matrix; out-of-sentence slots hold the padding id."""
-    n = len(ids)
-    cols = []
-    for off in range(-window, window + 1):
-        col = np.full(n, pad_id, dtype=np.int64)
-        if off == 0:
-            col[:] = ids
-        elif off < 0:
-            col[-off:] = ids[: n + off]
-        else:
-            col[: n - off] = ids[off:]
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    pad = np.full(window, pad_id, dtype=np.int64)
+    padded = np.concatenate([pad, np.asarray(ids, dtype=np.int64), pad])
+    return np.stack([padded[k : k + len(ids)] for k in range(2 * window + 1)], axis=1)
 
 
 #: The embedding table's key; its gradient is row-sparse.

@@ -82,7 +82,7 @@ class _WordFactory:
                 raise ConfigError("vocabulary too small to avoid hash collisions")
             stem = self._stem()
             surfaces = [stem + suffix for suffix in self.renderings]
-            ids = [int(featurize([s], self.vocab_size)[0]) for s in surfaces]
+            ids = featurize(surfaces, self.vocab_size).tolist()
             if len(set(surfaces)) != len(surfaces) or len(set(ids)) != len(ids):
                 continue
             if any(s in self._surfaces for s in surfaces) or any(i in self._ids for i in ids):

@@ -81,23 +81,30 @@ class EncodedSentence:
         return len(self.tag_ids)
 
 
-def encode_sentence(sentence: Sentence, config: m.TaggerConfig) -> EncodedSentence:
-    ids = m.featurize(sentence.token_texts, config.vocab_size)
-    try:
-        tag_ids = np.array([TAG_TO_ID[t] for t in sentence.tags], dtype=np.int64)
-    except KeyError as exc:
-        raise TagError(f"unknown tag {exc.args[0]!r}")
-    if len(tag_ids) != len(ids):
-        raise DataError(f"{len(tag_ids)} tags for {len(ids)} tokens")
-    return EncodedSentence(
-        windows=m.window_matrix(ids, config.context_window, config.pad_id),
-        tag_ids=tag_ids,
-        region_id=int(sentence.region),
-    )
-
-
 def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> list[EncodedSentence]:
-    return [encode_sentence(s, config) for s in sentences]
+    """Encode every sentence in one pass: the token texts are hashed in one
+    call and the windows built in one call, over the concatenated ids with
+    ``context_window`` padding ids after each sentence, so that no window
+    reaches into the next sentence."""
+    texts, tag_ids, lengths = [], [], []
+    for s in sentences:
+        try:
+            tag_ids.extend(TAG_TO_ID[t] for t in s.tags)
+        except KeyError as exc:
+            raise TagError(f"unknown tag {exc.args[0]!r}")
+        if len(s.tags) != len(s):
+            raise DataError(f"{len(s.tags)} tags for {len(s)} tokens")
+        texts.extend(s.token_texts)
+        lengths.append(len(s))
+    w = config.context_window
+    # the k-th token of the list, in sentence j, sits at k + j*w among the padded ids
+    at = np.arange(len(texts)) + np.repeat(np.arange(len(lengths)) * w, lengths)
+    ids = np.full(len(texts) + len(lengths) * w, config.pad_id, dtype=np.int64)
+    ids[at] = m.featurize(texts, config.vocab_size)
+    bounds = np.cumsum(lengths)[:-1]
+    windows = np.split(m.window_matrix(ids, w, config.pad_id)[at], bounds)
+    tags = np.split(np.array(tag_ids, dtype=np.int64), bounds)
+    return [EncodedSentence(win, tag, int(s.region)) for win, tag, s in zip(windows, tags, sentences)]
 
 
 def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
@@ -583,10 +590,10 @@ def export_embeddings(
     """One TSV row per sentence: region name, then the mean feature vector
     over its tokens at six decimal places."""
     lines = []
+    row = "\t".join(["%.6f"] * params.config.hidden_dim)
     for group, graph in _forward_chunks(params, encode_sentences(sentences, params.config)):
         for enc, h in zip(group, _per_sentence(graph.features.value, group)):
             if not len(h):
                 raise DataError("empty sentence")
-            values = "\t".join(f"{v:.6f}" for v in h.mean(axis=0))
-            lines.append(f"{Region(enc.region_id).display}\t{values}")
+            lines.append(f"{Region(enc.region_id).display}\t{row % tuple(h.mean(axis=0).tolist())}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -277,6 +278,21 @@ def _embed_table_case(convert):
     return _checkpoint_case(write)
 
 
+def _meta_case(config):
+    """An ``eval`` run on a checkpoint whose metadata records ``config``."""
+    return _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(json.dumps(
+        {"version": CHECKPOINT_VERSION, "config": config}).encode(), np.uint8)))
+
+
+def _corrupt_meta(path):
+    """A saved checkpoint with one byte of its metadata overwritten, so its
+    stored checksum no longer matches."""
+    init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16)).save(path)
+    data = bytearray(path.read_bytes())
+    data[data.index(b'"version"') + 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 def _iaa_case(tmp_path, corpus_file):
     path = tmp_path / "layer_b.jsonl"
     lines = corpus_file.read_text().splitlines()
@@ -319,10 +335,9 @@ MALFORMED = {
     "checkpoint metadata unreadable": (
         _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(b"{nope", np.uint8))),
         "bad.npz"),
-    "checkpoint config value invalid": (
-        _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(json.dumps(
-            {"version": CHECKPOINT_VERSION, "config": {"hidden_dim": 0}}).encode(), np.uint8))),
-        "bad.npz"),
+    "checkpoint config value invalid": (_meta_case({"hidden_dim": 0}), "bad.npz"),
+    "checkpoint vocab_size cannot be allocated": (_meta_case({"vocab_size": 2**62}), "bad.npz"),
+    "checkpoint metadata bytes corrupted": (_checkpoint_case(_corrupt_meta), "bad.npz"),
     "checkpoint table is an object array": (
         _embed_table_case(lambda a: a.astype(object)), "bad.npz: parameter extractor.embed"),
     "checkpoint table holds strings": (
@@ -338,6 +353,8 @@ MALFORMED = {
     "negative weight decay": (_config_case({"train": {"weight_decay": -0.1}}), "weight_decay"),
     "tagger config int is a string": (_config_case({"tagger": {"hidden_dim": "16"}}), "hidden_dim"),
     "tagger config int is a bool": (_config_case({"tagger": {"embed_dim": True}}), "embed_dim"),
+    "tagger vocab_size cannot be allocated": (
+        _config_case({"tagger": {"vocab_size": 10**30}}), "vocab_size"),
     "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
     "tagger config sets the domain count": (
         _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
@@ -418,6 +435,14 @@ def _fuzz_inputs(draw):
     return "\n".join(lines) + "\n", split_text
 
 
+def _run_captured(argv) -> tuple[int, str]:
+    """Run a command; its exit code and everything it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(_fuzz_inputs())
 def test_fuzzed_inputs_end_in_success_or_one_error_line(inputs):
@@ -436,14 +461,49 @@ def test_fuzzed_inputs_end_in_success_or_one_error_line(inputs):
             ["iaa", "--input", good, "--input-b", bad],
             ["tfidf", "--input", bad],
         ):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run(argv)
-            lines = err.getvalue().splitlines()
+            code, err = _run_captured(argv)
+            lines = err.splitlines()
             errors = [line for line in lines if line.startswith("error:")]
             if argv[0] == "validate" and code == 1 and not errors:
                 # a corpus that loads but breaks the annotation rules
                 assert lines and lines[-1].endswith(" violations"), (argv[0], lines)
             else:
                 assert code == 0 or (code == 1 and len(errors) == 1), (argv[0], code, lines)
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
+
+
+# A bounded fuzz of the checkpoint file: up to 8 bytes of a saved checkpoint
+# are overwritten. Every number of its config has at most two digits, so no
+# overwrite can ask for a large allocation.
+
+@functools.cache
+def _fuzz_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.npz"
+        init_params(TaggerConfig(vocab_size=64, embed_dim=8, hidden_dim=16)).save(path)
+        return path.read_bytes()
+
+
+@st.composite
+def _damaged_checkpoints(draw) -> bytes:
+    data = bytearray(_fuzz_checkpoint())
+    at = draw(st.integers(0, len(data) - 1))
+    patch = draw(st.binary(min_size=1, max_size=8))
+    data[at : at + len(patch)] = patch
+    return bytes(data[: len(_fuzz_checkpoint())])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_damaged_checkpoints())
+def test_fuzzed_checkpoint_ends_in_success_or_one_error_line(checkpoint):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, path = tmp / "corpus.jsonl", tmp / "checkpoint.npz"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in _FUZZ_RECORDS), encoding="utf-8")
+        path.write_bytes(checkpoint)
+        for command in ("eval", "export-embeddings"):
+            code, err = _run_captured(
+                [command, "--input", corpus, "--checkpoint", path, "--out", tmp / command])
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code == 0 or (code == 1 and len(errors) == 1), (command, code, err)
+            assert "Traceback" not in err

@@ -123,6 +123,13 @@ class TestWindowMatrix:
         win = M.window_matrix(np.array([5]), window=2, pad_id=0)
         assert win.tolist() == [[0, 0, 5, 0, 0]]
 
+    def test_sentence_shorter_than_window(self):
+        win = M.window_matrix(np.array([5, 6]), window=3, pad_id=0)
+        assert win.tolist() == [[0, 0, 0, 5, 6, 0, 0], [0, 0, 5, 6, 0, 0, 0]]
+
+    def test_empty(self):
+        assert M.window_matrix(np.array([], dtype=np.int64), window=2, pad_id=0).shape == (0, 5)
+
 
 class TestForward:
     def test_output_shapes(self):

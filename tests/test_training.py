@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
-from histner.corpus import TAG_ALPHABET, Region, SplitSpec, decode_iob, iter_sentences, split_dataset
-from histner.errors import ConfigError, DataError, TrainingError
+from histner.corpus import (
+    TAG_ALPHABET,
+    TAG_TO_ID,
+    Region,
+    Sentence,
+    SplitSpec,
+    decode_iob,
+    iter_sentences,
+    split_dataset,
+)
+from histner.errors import ConfigError, DataError, TagError, TrainingError
 from histner.metrics import strict_f1, token_accuracy
 from histner.synthetic import (
     SOURCE_DOMAIN,
@@ -513,6 +522,80 @@ class TestDomainProbe:
         T.fit_domain_probe(M.init_params(small_config()), sents, epochs=1, seed=0)
         domain_keys = {("domain_head", "w"), ("domain_head", "b")}
         assert states and set(states[-1].m) == set(states[-1].v) == domain_keys
+
+
+def _reference_encode_sentences(sentences, config):
+    """The per-sentence loop the one-pass encoding replaced: hash each token,
+    check the tags, then build the sentence's windows on their own."""
+    encoded = []
+    for sent in sentences:
+        ids = np.array([M._fnv1a(t.lower().encode("utf-8")) % config.vocab_size
+                        for t in sent.token_texts], dtype=np.int64)
+        try:
+            tag_ids = np.array([TAG_TO_ID[t] for t in sent.tags], dtype=np.int64)
+        except KeyError as exc:
+            raise TagError(f"unknown tag {exc.args[0]!r}")
+        if len(tag_ids) != len(ids):
+            raise DataError(f"{len(tag_ids)} tags for {len(ids)} tokens")
+        windows = M.window_matrix(ids, config.context_window, config.pad_id)
+        encoded.append(T.EncodedSentence(windows, tag_ids, int(sent.region)))
+    return encoded
+
+
+#: Token texts that repeat and differ only by case, so that distinct texts
+#: share a hash.
+_TEXTS = ["ion", "Ion", "ION", "la", "Iasi", "IASI", "ţară", "Ţară", "1848"]
+
+
+@st.composite
+def _sentence_lists(draw):
+    """Up to six sentences of up to five tokens, some of them shorter than
+    the window; now and then one has an unknown tag or one tag too many."""
+    sentences = []
+    for _ in range(draw(st.integers(0, 6))):
+        texts = draw(st.lists(st.sampled_from(_TEXTS), max_size=5))
+        tags = draw(st.lists(st.sampled_from(TAG_ALPHABET), min_size=len(texts),
+                             max_size=len(texts)))
+        fault = draw(st.sampled_from([None] * 8 + ["tag", "count"]))
+        if fault == "tag":
+            tags = [*tags, "B-PERSONA"][-max(1, len(tags)):]
+        elif fault == "count":
+            tags = [*tags, "O"]
+        sentences.append(make_sentence(texts, tags, draw(st.sampled_from(list(Region)))))
+    return sentences
+
+
+class TestEncodeSentences:
+    @settings(max_examples=150, deadline=None)
+    @given(_sentence_lists(), st.integers(1, 3), st.sampled_from([1, 7, 512]))
+    def test_equals_per_sentence_reference(self, sentences, window, vocab_size):
+        config = M.TaggerConfig(vocab_size=vocab_size, context_window=window)
+        try:
+            reference = _reference_encode_sentences(sentences, config)
+        except (TagError, DataError) as exc:
+            with pytest.raises(type(exc)) as err:
+                T.encode_sentences(sentences, config)
+            assert str(err.value) == str(exc)
+            return
+        encoded = T.encode_sentences(sentences, config)
+        assert len(encoded) == len(reference)
+        for got, want in zip(encoded, reference):
+            assert got.windows.shape == want.windows.shape
+            assert got.tag_ids.shape == want.tag_ids.shape
+            assert np.array_equal(got.windows, want.windows)
+            assert np.array_equal(got.tag_ids, want.tag_ids)
+            assert got.region_id == want.region_id
+
+    @pytest.mark.parametrize("faults, error", [
+        (["count", "tag"], DataError),
+        (["tag", "count"], TagError),
+        ([None, "tag", "count"], TagError),
+    ])
+    def test_first_bad_sentence_raises(self, faults, error):
+        bad_tags = {None: ["O", "O"], "tag": ["O", "B-PERSONA"], "count": ["O"]}
+        sentences = [make_sentence(["unu", "doi"], bad_tags[f]) for f in faults]
+        with pytest.raises(error):
+            T.encode_sentences(sentences, small_config())
 
 
 # Per-sentence and full-graph loops the chunked inference path replaced,
