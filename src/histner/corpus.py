@@ -13,7 +13,7 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -105,7 +105,6 @@ class EntitySpan:
     label: EntityLabel
     first_token: int
     last_token: int
-    surface: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.first_token > self.last_token or self.first_token < 0:
@@ -140,12 +139,7 @@ class Sentence:
 
     @cached_property
     def spans(self) -> list[EntitySpan]:
-        spans = decode_iob(self.tags)
-        for span in spans:
-            span.surface = " ".join(
-                t.text for t in self.tokens[span.first_token : span.last_token + 1]
-            )
-        return spans
+        return decode_iob(self.tags)
 
     @property
     def token_texts(self) -> list[str]:
@@ -283,9 +277,7 @@ def align_spans(tokens: Sequence[Token], raw_spans: Sequence[RawSpan]) -> list[E
             raise AlignmentError(
                 f"span [{raw.start}, {raw.end}) {raw.surface!r} covers no token"
             )
-        first, last = covering[0], covering[-1]
-        surface = " ".join(t.text for t in tokens[first : last + 1])
-        aligned.append(EntitySpan(raw.label, first, last, surface))
+        aligned.append(EntitySpan(raw.label, covering[0], covering[-1]))
     conflicts = span_conflicts(aligned)
     if conflicts:
         raise AlignmentError(f"aligned spans violate the no-nesting rule: {conflicts[0]}")
@@ -380,12 +372,6 @@ def validate_document(doc: Document) -> list[Violation]:
             if tag not in TAG_TO_ID:
                 flag(idx, f"unknown tag {tag!r}")
                 break
-        try:
-            spans = decode_iob([t for t in sent.tags if t in TAG_TO_ID])
-        except TagError:
-            spans = []
-        for conflict in span_conflicts(spans):
-            flag(idx, conflict)
     return violations
 
 
@@ -472,13 +458,15 @@ def _allocate(n: int) -> list[int]:
     return counts
 
 
-def _rebuild(corpus: Corpus, keep: set[tuple[int, int]]) -> Corpus:
-    docs: Corpus = []
-    for d_idx, doc in enumerate(corpus):
-        sents = [s for s_idx, s in enumerate(doc.sentences) if (d_idx, s_idx) in keep]
-        if sents:
-            docs.append(Document(id=doc.id, region=doc.region, sentences=sents, year=doc.year))
-    return docs
+def _rebuild(corpus: Corpus, part_of: dict[tuple[int, int], str]) -> Splits:
+    """Each ``(doc_idx, sent_idx)``'s sentence in its part, in document order."""
+    parts: dict[str, Corpus] = {"train": [], "valid": [], "test": []}
+    for part, docs in parts.items():
+        for d_idx, doc in enumerate(corpus):
+            sents = [s for s_idx, s in enumerate(doc.sentences) if part_of[(d_idx, s_idx)] == part]
+            if sents:
+                docs.append(Document(id=doc.id, region=doc.region, sentences=sents, year=doc.year))
+    return Splits(**parts)
 
 
 def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
@@ -489,24 +477,15 @@ def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
         for s_idx, sent in enumerate(doc.sentences):
             by_region.setdefault(sent.region, []).append((d_idx, s_idx))
     rng = np.random.default_rng(spec.seed)
-    assigned: dict[str, set[tuple[int, int]]] = {"train": set(), "valid": set(), "test": set()}
+    part_of: dict[tuple[int, int], str] = {}
     for region in sorted(by_region):
         keys = by_region[region]
         perm = rng.permutation(len(keys))
-        n_train, n_valid, _ = _allocate(len(keys))
-        for rank, key_idx in enumerate(perm):
-            key = keys[key_idx]
-            if rank < n_train:
-                assigned["train"].add(key)
-            elif rank < n_train + n_valid:
-                assigned["valid"].add(key)
-            else:
-                assigned["test"].add(key)
-    return Splits(
-        train=_rebuild(corpus, assigned["train"]),
-        valid=_rebuild(corpus, assigned["valid"]),
-        test=_rebuild(corpus, assigned["test"]),
-    )
+        n_train, n_valid, n_test = _allocate(len(keys))
+        ranked = ["train"] * n_train + ["valid"] * n_valid + ["test"] * n_test
+        for part, key_idx in zip(ranked, perm):
+            part_of[keys[key_idx]] = part
+    return _rebuild(corpus, part_of)
 
 
 def apply_split_file(corpus: Corpus, mapping: dict) -> Splits:
@@ -527,7 +506,6 @@ def apply_split_file(corpus: Corpus, mapping: dict) -> Splits:
             index[f"{doc.id}#{s_idx}"] = (d_idx, s_idx)
             doc_ids[doc.id].append((d_idx, s_idx))
     taken: dict[tuple[int, int], str] = {}
-    parts: dict[str, set[tuple[int, int]]] = {p: set() for p in ("train", "valid", "test")}
     for part in ("train", "valid", "test"):
         for entry in mapping[part]:
             entry = str(entry)
@@ -541,15 +519,10 @@ def apply_split_file(corpus: Corpus, mapping: dict) -> Splits:
                 if key in taken:
                     raise DataError(f"split assigns {entry!r} to both {taken[key]} and {part}")
                 taken[key] = part
-                parts[part].add(key)
     missing = len(index) - len(taken)
     if missing:
         raise DataError(f"split file leaves {missing} sentences unassigned")
-    return Splits(
-        train=_rebuild(corpus, parts["train"]),
-        valid=_rebuild(corpus, parts["valid"]),
-        test=_rebuild(corpus, parts["test"]),
-    )
+    return _rebuild(corpus, taken)
 
 
 # ---------------------------------------------------------------------------

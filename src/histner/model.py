@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import bisect
 import json
+import lzma
 import numbers
 import tokenize
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,10 +34,13 @@ _U64 = (1 << 64) - 1
 CHECKPOINT_VERSION = 1
 
 #: What reading a damaged checkpoint file raises: numpy parses an array's
-#: header with ``tokenize``, and ``zipfile`` raises ``RuntimeError`` for an
-#: entry flagged as encrypted.
+#: header with ``tokenize``, ``zipfile`` raises ``RuntimeError`` for an
+#: entry flagged as encrypted, and an entry's flagged decompressor raises
+#: its own error on bytes it cannot decode. ``bz2`` raises ``OSError``,
+#: which only the entry reads catch, so that a missing file keeps
+#: ``cli.main``'s own message.
 _UNREADABLE = (ValueError, EOFError, RuntimeError, NotImplementedError,
-               zipfile.BadZipFile, tokenize.TokenError)
+               zipfile.BadZipFile, tokenize.TokenError, zlib.error, lzma.LZMAError)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -71,6 +76,8 @@ class TaggerConfig:
         for name in ("vocab_size", "embed_dim", "hidden_dim", "context_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self) -> int:
@@ -142,7 +149,7 @@ class TaggerParams:
                     if values.pop(key, size) != size:
                         raise DataError(f"{path}: checkpoint {key} is not {size}")
                 params = init_params(TaggerConfig(**values))
-            except (*_UNREADABLE, TypeError, KeyError, ConfigError) as exc:
+            except (*_UNREADABLE, OSError, TypeError, KeyError, ConfigError) as exc:
                 raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
             for (group, name), arr in params.items_flat():
                 key = f"{group}.{name}"
@@ -150,7 +157,7 @@ class TaggerParams:
                     raise DataError(f"{path}: missing parameter {key}")
                 try:
                     loaded = data[key]
-                except _UNREADABLE as exc:
+                except (*_UNREADABLE, OSError) as exc:
                     raise DataError(f"{path}: parameter {key} cannot be loaded ({exc!r})") from exc
                 if loaded.dtype != np.float64 or loaded.shape != arr.shape:
                     raise DataError(f"{path}: parameter {key} is {loaded.dtype} of shape "

@@ -110,12 +110,15 @@ def _chunk_documents(sentences: list[Sentence], prefix: str, rng: np.random.Gene
 
 
 class _AnchorSampler:
-    """Entity-dense sentences over rendered anchor types plus fillers."""
+    """Entity-dense sentences over rendered anchor types plus fillers: 5
+    filler and then 40 anchor stems drawn from ``factory``, whose generator
+    the sentences then draw from."""
 
-    def __init__(self, rng, fillers, anchors):
-        self.rng = rng
-        self.fillers = fillers
-        self.anchors = anchors  # list of (stem, label)
+    def __init__(self, factory: _WordFactory):
+        self.rng = factory.rng
+        self.fillers = factory.stems(5)
+        stems = factory.stems(40)
+        self.anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(stems)]
 
     def sentence(self, suffix: str) -> tuple[list[str], list[str]]:
         n_e = int(self.rng.integers(4, 7))
@@ -130,6 +133,21 @@ class _AnchorSampler:
             texts.insert(k, self.fillers[self.rng.integers(len(self.fillers))] + suffix)
             tags.insert(k, "O")
         return texts, tags
+
+
+def _splits(rng: np.random.Generator, regions: list[Region], rows, counts) -> Splits:
+    """Train, valid and test, one ``count`` each: per region in order,
+    ``rows(region, count)`` shuffled into sentences and chunked into documents."""
+    parts: dict[str, Corpus] = {}
+    for part, count in zip(("train", "valid", "test"), counts):
+        docs: Corpus = []
+        for region in regions:
+            part_rows = rows(region, count)
+            perm = rng.permutation(len(part_rows))
+            sentences = [sentence_from_texts(*part_rows[i], region) for i in perm]
+            docs.extend(_chunk_documents(sentences, f"{part}-{region.name.lower()}", rng))
+        parts[part] = docs
+    return Splits(**parts)
 
 
 # ---------------------------------------------------------------------------
@@ -147,38 +165,24 @@ def two_domain_corpus(seed: int) -> Splits:
     """
     rng = np.random.default_rng(seed)
     factory = _WordFactory(rng, BENCHMARK_VOCAB, ["", "u"])
-    fillers = factory.stems(5)
-    anchor_stems = factory.stems(40)
-    anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(anchor_stems)]
+    sampler = _AnchorSampler(factory)
     ambiguous = factory.stems(10)
-    sampler = _AnchorSampler(rng, fillers, anchors)
-    domains = [(SOURCE_DOMAIN, ""), (TARGET_DOMAIN, "u")]
+    suffixes = {SOURCE_DOMAIN: "", TARGET_DOMAIN: "u"}
 
-    def ambiguous_sentence(region: Region, suffix: str) -> tuple[list[str], list[str]]:
-        texts, tags = sampler.sentence(suffix)
+    def ambiguous_sentence(region: Region) -> tuple[list[str], list[str]]:
+        texts, tags = sampler.sentence(suffixes[region])
         k = int(rng.integers(0, len(texts) + 1))
         word = ambiguous[int(rng.integers(len(ambiguous)))]
         texts.insert(k, word)
         tags.insert(k, "B-PERSON" if region is SOURCE_DOMAIN else "B-LOCATION")
         return texts, tags
 
-    def build_part(part: str, n_anchor: int, n_ambiguous: int) -> Corpus:
-        docs: Corpus = []
-        for region, suffix in domains:
-            rows = [sampler.sentence(suffix) for _ in range(n_anchor)]
-            rows += [ambiguous_sentence(region, suffix) for _ in range(n_ambiguous)]
-            perm = rng.permutation(len(rows))
-            sentences = [
-                sentence_from_texts(rows[i][0], rows[i][1], region) for i in perm
-            ]
-            docs.extend(_chunk_documents(sentences, f"{part}-{region.name.lower()}", rng))
-        return docs
+    def rows(region: Region, count: tuple[int, int]) -> list[tuple[list[str], list[str]]]:
+        n_anchor, n_ambiguous = count
+        return ([sampler.sentence(suffixes[region]) for _ in range(n_anchor)]
+                + [ambiguous_sentence(region) for _ in range(n_ambiguous)])
 
-    return Splits(
-        train=build_part("train", 90, 60),
-        valid=build_part("valid", 12, 28),
-        test=build_part("test", 12, 28),
-    )
+    return _splits(rng, list(suffixes), rows, [(90, 60), (12, 28), (12, 28)])
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +218,13 @@ def regional_corpus(seed: int, coupled: bool = True,
     cfg = config or RegionalConfig()
     rng = np.random.default_rng(seed)
     suffixes = COUPLED_SUFFIXES if coupled else DISTINCT_SUFFIXES
-    factory = _WordFactory(rng, cfg.vocab_size, sorted(set(suffixes.values())))
-    fillers = factory.stems(5)
-    anchor_stems = factory.stems(40)
-    anchors = [(w, ANCHOR_LABELS[i % len(ANCHOR_LABELS)]) for i, w in enumerate(anchor_stems)]
-    sampler = _AnchorSampler(rng, fillers, anchors)
+    sampler = _AnchorSampler(_WordFactory(rng, cfg.vocab_size, sorted(set(suffixes.values()))))
 
-    def build_part(part: str, count: int) -> Corpus:
-        docs: Corpus = []
-        for region in Region:
-            rows = [sampler.sentence(suffixes[region]) for _ in range(count)]
-            perm = rng.permutation(len(rows))
-            sentences = [sentence_from_texts(rows[i][0], rows[i][1], region) for i in perm]
-            docs.extend(_chunk_documents(sentences, f"{part}-{region.name.lower()}", rng))
-        return docs
+    def rows(region: Region, count: int) -> list[tuple[list[str], list[str]]]:
+        return [sampler.sentence(suffixes[region]) for _ in range(count)]
 
-    return Splits(
-        train=build_part("train", cfg.n_train_per_region),
-        valid=build_part("valid", cfg.n_eval_per_region),
-        test=build_part("test", cfg.n_eval_per_region),
-    )
+    return _splits(rng, list(Region), rows,
+                   [cfg.n_train_per_region, cfg.n_eval_per_region, cfg.n_eval_per_region])
 
 
 # ---------------------------------------------------------------------------

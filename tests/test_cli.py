@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -293,6 +294,25 @@ def _corrupt_meta(path):
     path.write_bytes(bytes(data))
 
 
+def _flag_entry(entry: int, method: int, first_byte: int | None = None):
+    """A saved checkpoint whose ``entry``-th zip entry is flagged with
+    compression ``method`` in the central directory, its stored bytes left
+    as they are except, if given, the first."""
+    def write(path):
+        init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16)).save(path)
+        data = bytearray(path.read_bytes())
+        at = -1
+        for _ in range(entry + 1):
+            at = data.index(b"PK\x01\x02", at + 1)
+        struct.pack_into("<H", data, at + 10, method)
+        if first_byte is not None:
+            local = struct.unpack_from("<I", data, at + 42)[0]
+            name_len, extra_len = struct.unpack_from("<HH", data, local + 26)
+            data[local + 30 + name_len + extra_len] = first_byte
+        path.write_bytes(bytes(data))
+    return _checkpoint_case(write)
+
+
 def _iaa_case(tmp_path, corpus_file):
     path = tmp_path / "layer_b.jsonl"
     lines = corpus_file.read_text().splitlines()
@@ -338,6 +358,10 @@ MALFORMED = {
     "checkpoint config value invalid": (_meta_case({"hidden_dim": 0}), "bad.npz"),
     "checkpoint vocab_size cannot be allocated": (_meta_case({"vocab_size": 2**62}), "bad.npz"),
     "checkpoint metadata bytes corrupted": (_checkpoint_case(_corrupt_meta), "bad.npz"),
+    "checkpoint entry flagged bzip2": (_flag_entry(0, 12), "bad.npz"),
+    "checkpoint table entry flagged lzma": (
+        _flag_entry(1, 14), "bad.npz: parameter extractor.embed"),
+    "checkpoint entry flagged deflate, invalid block": (_flag_entry(0, 8, 0x06), "bad.npz"),
     "checkpoint table is an object array": (
         _embed_table_case(lambda a: a.astype(object)), "bad.npz: parameter extractor.embed"),
     "checkpoint table holds strings": (
@@ -355,6 +379,8 @@ MALFORMED = {
     "tagger config int is a bool": (_config_case({"tagger": {"embed_dim": True}}), "embed_dim"),
     "tagger vocab_size cannot be allocated": (
         _config_case({"tagger": {"vocab_size": 10**30}}), "vocab_size"),
+    "tagger config seed is negative": (_config_case({"tagger": {"seed": -1}}), "seed"),
+    "train config seed is negative": (_config_case({"train": {"seed": -1}}), "seed"),
     "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
     "tagger config sets the domain count": (
         _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
@@ -507,3 +533,63 @@ def test_fuzzed_checkpoint_ends_in_success_or_one_error_line(checkpoint):
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert code == 0 or (code == 1 and len(errors) == 1), (command, code, err)
             assert "Traceback" not in err
+
+
+# A bounded fuzz of --config: one value of a valid config is replaced, or an
+# unknown key is added. Integers stay within 12 of zero, so no draw can ask
+# for a large allocation or a long run.
+
+_FUZZ_CONFIG = {
+    "tagger": {"vocab_size": 64, "embed_dim": 4, "hidden_dim": 8, "context_window": 1,
+               "seed": 0},
+    "train": {"mode": "grad_rev", "epochs": 1, "lr": 0.01, "weight_decay": 0.01,
+              "batch_size": 4, "clip_norm": 2.0, "lam": 0.1, "seed": 0},
+}
+
+_SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-12, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _fuzz_configs(draw) -> str:
+    config = json.loads(json.dumps(_FUZZ_CONFIG))
+    section = draw(st.sampled_from(sorted(config)))
+    action = draw(st.sampled_from(["replace", "replace section", "add key"]))
+    if action == "replace":
+        key = draw(st.sampled_from(sorted(config[section])))
+        config[section][key] = draw(_SMALL_JSON_VALUES)
+    elif action == "replace section":
+        config[section] = draw(_SMALL_JSON_VALUES)
+    else:
+        target = draw(st.sampled_from([config, config[section]]))
+        key = draw(st.text(max_size=8).filter(lambda k: k not in target))
+        target[key] = draw(_SMALL_JSON_VALUES)
+    return json.dumps(config)
+
+
+@functools.cache
+def _fuzz_train_corpus() -> str:
+    """Ten sentences of one region, so the split leaves one for validation."""
+    docs = separable_corpus(0, n_sentences=10, vocab_size=64)
+    records = [{**json.loads(line), "region": "Moldavia"}
+               for line in dumps_jsonl(docs).splitlines()]
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fuzz_configs())
+def test_fuzzed_config_ends_in_success_or_one_error_line(config_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, config = tmp / "corpus.jsonl", tmp / "config.json"
+        corpus.write_text(_fuzz_train_corpus(), encoding="utf-8")
+        config.write_text(config_text, encoding="utf-8")
+        code, err = _run_captured(
+            ["train", "--input", corpus, "--config", config, "--out", tmp / "o"])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 0 or (code == 1 and len(errors) == 1), (code, err)
+        assert "Traceback" not in err

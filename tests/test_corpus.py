@@ -276,6 +276,7 @@ class TestIobProperties:
         repaired = encode_iob(spans, len(tags))
         assert is_valid_iob(repaired)
         assert span_keys(decode_iob(repaired)) == span_keys(spans)
+        assert C.span_conflicts(decode_iob(tags)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,35 @@ class TestSplitDataset:
                     1 for d in part for s in d.sentences if s.region == region
                 )
                 assert abs(got - 23 * ratio) <= 1
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(list(Region)), min_size=1, max_size=6),
+                              st.sampled_from(list(Region)),
+                              st.none() | st.integers(C.YEAR_MIN, C.YEAR_MAX)),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_split_file_of_a_split_gives_the_same_parts(self, docs, seed):
+        corpus = [
+            C.Document(id=f"doc{d}", region=region, year=year, sentences=[
+                make_sentence([f"w{d}-{i}"], ["O"], r) for i, r in enumerate(regions)])
+            for d, (regions, region, year) in enumerate(docs)
+        ]
+        position = {id(s): f"{doc.id}#{i}" for doc in corpus for i, s in enumerate(doc.sentences)}
+        splits = split_dataset(corpus, SplitSpec(seed=seed))
+        mapping = {part: [position[id(s)] for doc in part_docs for s in doc.sentences]
+                   for part, part_docs in splits.parts().items()}
+        from_file = apply_split_file(corpus, mapping)
+        for part, part_docs in splits.parts().items():
+            assert dumps_jsonl(from_file.parts()[part]) == dumps_jsonl(part_docs)
+        for doc in corpus:
+            landed = {part for part, entries in mapping.items()
+                      if any(e.startswith(doc.id + "#") for e in entries)}
+            for result in (splits, from_file):
+                appears = {part: [(d.id, d.region, d.year) for d in part_docs if d.id == doc.id]
+                           for part, part_docs in result.parts().items()}
+                assert {part for part, found in appears.items() if found} == landed
+                for part in landed:
+                    assert appears[part] == [(doc.id, doc.region, doc.year)]
 
     def test_split_file_override(self, tiny_corpus):
         mapping = {"train": ["doc-a", "doc-b#0"], "valid": [], "test": ["doc-c"]}

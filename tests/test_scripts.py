@@ -1,8 +1,10 @@
 """Smoke runs of the experiment scripts at one epoch, and checks of the
 benchmark's hooks into the package."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -63,3 +65,36 @@ def test_benchmark_spans_name_package_attributes(monkeypatch):
         for part in owners:
             owner = owner.__dict__[part]
         assert attr in owner.__dict__, name
+
+
+def test_benchmark_workloads_name_package_attributes():
+    # every ``<module>.<attr>`` chain that the workloads read must resolve,
+    # and every call through one must still accept the arguments it passes
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {name: importlib.import_module(f"histner.{name}") for name in
+               ("analysis", "cli", "corpus", "metrics", "model", "synthetic", "training")}
+
+    def resolve(node):
+        if isinstance(node, ast.Name) and node.id in modules:
+            return modules[node.id], node.id
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            if owner is not None:
+                name = f"{owner[1]}.{node.attr}"
+                assert hasattr(owner[0], node.attr), name
+                return getattr(owner[0], node.attr), name
+        return None
+
+    names, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (found := resolve(node)) is not None:
+            names.add(found[1])
+        if isinstance(node, ast.Call) and (found := resolve(node.func)) is not None:
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                continue  # what a * or ** argument holds is not known here
+            inspect.signature(found[0]).bind(*node.args, **{k.arg: k for k in node.keywords})
+            bound.add(found[1])
+    assert {"corpus.SplitSpec", "synthetic.RegionalConfig", "model.predict_tags",
+            "training.predict_corpus"} <= names
+    assert {"corpus.Document", "corpus.Sentence"} <= bound
