@@ -79,6 +79,9 @@ def _config_section(file_cfg: dict, section: str, cls) -> dict:
 
 def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
     file_cfg = _read_json_object(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - {"tagger", "train"})
+    if unknown:
+        raise ConfigError(f"unknown config section {unknown[0]!r}")
     tagger_kwargs = _config_section(file_cfg, "tagger", model.TaggerConfig)
     train_kwargs = _config_section(file_cfg, "train", training.TrainConfig)
     # flags override the config file
@@ -97,8 +100,7 @@ def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
 def _split_corpus(args, docs: corpus.Corpus) -> corpus.Splits:
     if args.split_file:
         return corpus.apply_split_file(docs, _read_json_object(args.split_file))
-    seed = args.seed if args.seed is not None else 0
-    return corpus.split_dataset(docs, corpus.SplitSpec(seed=seed))
+    return corpus.split_dataset(docs, corpus.SplitSpec(seed=args.seed or 0))
 
 
 def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
@@ -380,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command records its seed, so each takes the split seed's rule
+        corpus.check_config(corpus.SplitSpec(seed=args.seed or 0))
         return args.func(args)
     except (HistnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

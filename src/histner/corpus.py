@@ -13,16 +13,19 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     AlignmentError,
     BratParseError,
+    ConfigError,
     DataError,
     TagError,
     UnsupportedSpanError,
@@ -425,6 +428,32 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
 
 
 # ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def check_config(config) -> None:
+    """Raise ``ConfigError`` naming the first field of a config dataclass
+    that breaks its rule: its declared type (a bool is neither an int nor a
+    float), a value within float range for a float, and its lower bound in
+    the class's ``BOUNDS`` table ``{field: (bound, strict)}``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[f.type]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # NaN fails every comparison; an int beyond float range cannot be a float
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{f.name} must be a finite float, got {value!r}")
+        if f.name in config.BOUNDS:
+            bound, strict = config.BOUNDS[f.name]
+            if value < bound or (strict and value == bound):
+                raise ConfigError(f"{f.name} must be {'>' if strict else '>='} {bound}, "
+                                  f"got {value!r}")
+
+
+# ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
 
@@ -435,6 +464,8 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)
 @dataclass
 class SplitSpec:
     seed: int = 0
+
+    BOUNDS: ClassVar[dict] = {"seed": (0, False)}
 
 
 @dataclass
@@ -472,6 +503,7 @@ def _rebuild(corpus: Corpus, part_of: dict[tuple[int, int], str]) -> Splits:
 def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
     """Sentence-level split of each region by ``SPLIT_RATIOS``, deterministic
     per seed."""
+    check_config(spec)
     by_region: dict[Region, list[tuple[int, int]]] = {}
     for d_idx, doc in enumerate(corpus):
         for s_idx, sent in enumerate(doc.sentences):

@@ -13,18 +13,17 @@ from __future__ import annotations
 import bisect
 import json
 import lzma
-import numbers
 import tokenize
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Region, TAG_ALPHABET
+from .corpus import Region, TAG_ALPHABET, check_config
 from .errors import ConfigError, DataError, NonFiniteError, ShapeError
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -50,19 +49,6 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
-
-
-def check_field_types(config) -> None:
-    """Raise ``ConfigError`` naming the first field of a config dataclass
-    whose value is not of the field's declared type: an int, a number for a
-    float, or a string. A bool is neither an int nor a float here."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[f.type]):
-            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-
-
 @dataclass
 class TaggerConfig:
     vocab_size: int = 2**15
@@ -71,13 +57,10 @@ class TaggerConfig:
     context_window: int = 2
     seed: int = 0
 
-    def validate(self):
-        check_field_types(self)
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "context_window"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    BOUNDS: ClassVar[dict] = {"vocab_size": (1, False), "embed_dim": (1, False),
+                              "hidden_dim": (1, False), "context_window": (1, False),
+                              "seed": (0, False)}
+    validate = check_config
 
     @property
     def input_dim(self) -> int:
@@ -109,11 +92,6 @@ class TaggerParams:
         for group_name, group in self.groups().items():
             for name, arr in group.items():
                 yield (group_name, name), arr
-
-    def n_parameters(self) -> dict[str, int]:
-        counts = {g: sum(a.size for a in arrays.values()) for g, arrays in self.groups().items()}
-        counts["total"] = sum(counts.values())
-        return counts
 
     def copy(self) -> "TaggerParams":
         return TaggerParams(
@@ -342,15 +320,9 @@ def forward_windows(
     return ForwardGraph(leaves, x, win_ids, table.shape[0], h, ner_logits, domain_logits)
 
 
-def forward(params: TaggerParams, ids: np.ndarray,
-            domain_grad_scale: float | None = None) -> ForwardGraph:
-    """Forward pass over one sentence given per-token vocabulary ids."""
-    cfg = params.config
-    win = window_matrix(np.asarray(ids, dtype=np.int64), cfg.context_window, cfg.pad_id)
-    return forward_windows(params, win, domain_grad_scale)
-
-
 def predict_tags(params: TaggerParams, token_texts: Sequence[str]) -> list[str]:
     """Argmax NER tags for one sentence of raw token strings."""
-    graph = forward(params, featurize(token_texts, params.config.vocab_size))
+    cfg = params.config
+    win = window_matrix(featurize(token_texts, cfg.vocab_size), cfg.context_window, cfg.pad_id)
+    graph = forward_windows(params, win)
     return [TAG_ALPHABET[i] for i in np.argmax(graph.ner_logits.value, axis=1)]

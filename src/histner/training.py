@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import Region, Sentence, TAG_ALPHABET, TAG_TO_ID, decode_iob, format_table, iter_sentences
+from .corpus import (Region, Sentence, TAG_ALPHABET, TAG_TO_ID, check_config, decode_iob,
+                     format_table, iter_sentences)
 from .errors import ConfigError, DataError, HistnerError, TagError, TrainingError
 from .metrics import PRF, StrictF1Report, span_counts
 
@@ -48,19 +49,14 @@ class TrainConfig:
     lam: float = 0.1
     seed: int = 0
 
+    BOUNDS: ClassVar[dict] = {"epochs": (1, False), "lr": (0, True), "weight_decay": (0, False),
+                              "batch_size": (1, False), "clip_norm": (0, True),
+                              "lam": (0, False), "seed": (0, False)}
+
     def validate(self):
-        m.check_field_types(self)
+        check_config(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("lam", "weight_decay", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
 
 
 @dataclass

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -328,6 +329,13 @@ def _config_case(payload):
     return build
 
 
+def _flags_case(command, *flags):
+    """A ``command`` run on the corpus with ``flags`` added."""
+    def build(tmp_path, corpus_file):
+        return [command, "--input", corpus_file, *flags, "--out", tmp_path / "o"]
+    return build
+
+
 def _split_file_case(content: bytes):
     def build(tmp_path, corpus_file):
         path = tmp_path / "bad_split.json"
@@ -381,6 +389,20 @@ MALFORMED = {
         _config_case({"tagger": {"vocab_size": 10**30}}), "vocab_size"),
     "tagger config seed is negative": (_config_case({"tagger": {"seed": -1}}), "seed"),
     "train config seed is negative": (_config_case({"train": {"seed": -1}}), "seed"),
+    "split seed flag is negative": (_flags_case("split", "--seed", "-1"), "seed"),
+    "train seed flag is negative": (_flags_case("train", "--seed", "-1"), "seed"),
+    "train lr flag is NaN": (_flags_case("train", "--lr", "nan"), "lr"),
+    "train config lam is NaN": (
+        _config_case({"train": {"mode": "loss_rev", "lam": float("nan")}}), "lam"),
+    "train config clip_norm is infinite": (
+        _config_case({"train": {"clip_norm": float("inf")}}), "clip_norm"),
+    "train config lr beyond float range": (_config_case({"train": {"lr": 10**400}}), "lr"),
+    "train config weight_decay beyond float range": (
+        _config_case({"train": {"weight_decay": 10**400}}), "weight_decay"),
+    "train config lam beyond float range": (
+        _config_case({"train": {"mode": "loss_rev", "lam": 10**400}}), "lam"),
+    "unknown top-level config key": (
+        _config_case({"tagger": {"vocab_size": 512}, "trian": {"epochs": 1}}), "trian"),
     "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
     "tagger config sets the domain count": (
         _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
@@ -537,7 +559,7 @@ def test_fuzzed_checkpoint_ends_in_success_or_one_error_line(checkpoint):
 
 # A bounded fuzz of --config: one value of a valid config is replaced, or an
 # unknown key is added. Integers stay within 12 of zero, so no draw can ask
-# for a large allocation or a long run.
+# for a large allocation or a long run. Floats include NaN and infinities.
 
 _FUZZ_CONFIG = {
     "tagger": {"vocab_size": 64, "embed_dim": 4, "hidden_dim": 8, "context_window": 1,
@@ -580,9 +602,24 @@ def _fuzz_train_corpus() -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
+def _nonfinite_paths(value, path=()):
+    """The key path to each NaN or infinite float in a parsed JSON value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nonfinite_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _nonfinite_paths(item, path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_fuzz_configs())
 def test_fuzzed_config_ends_in_success_or_one_error_line(config_text):
+    parsed = json.loads(config_text)
+    offending = [(key,) for key in parsed if key not in ("tagger", "train")]
+    offending += _nonfinite_paths(parsed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus, config = tmp / "corpus.jsonl", tmp / "config.json"
@@ -593,3 +630,7 @@ def test_fuzzed_config_ends_in_success_or_one_error_line(config_text):
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code == 0 or (code == 1 and len(errors) == 1), (code, err)
         assert "Traceback" not in err
+        if offending:
+            # a key is named as written or as its repr, escapes and all
+            assert code == 1 and any(repr(key)[1:-1] in errors[0]
+                                     for path in offending for key in path), (offending, err)

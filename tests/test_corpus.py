@@ -32,6 +32,7 @@ from histner.corpus import (
 from histner.errors import (
     AlignmentError,
     BratParseError,
+    ConfigError,
     DataError,
     TagError,
     UnsupportedSpanError,
@@ -343,6 +344,11 @@ class TestSplitDataset:
             for region, n in zip(Region, sizes):
                 got = sum(len(d.sentences) for d in part if d.region == region)
                 assert abs(got - n * ratio) <= 1
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, None])
+    def test_invalid_seed_names_the_field(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            split_dataset(_n_region_corpus(), SplitSpec(seed=seed))
 
     def test_deterministic(self):
         corpus = _n_region_corpus()

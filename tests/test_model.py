@@ -86,10 +86,6 @@ class TestInitParams:
 
     def test_partition_total_and_disjoint(self):
         params = M.init_params(small_config())
-        counts = params.n_parameters()
-        assert counts["total"] == (
-            counts["extractor"] + counts["ner_head"] + counts["domain_head"]
-        )
         names = [key for key, _ in params.items_flat()]
         assert len(names) == len(set(names))
 
@@ -131,11 +127,17 @@ class TestWindowMatrix:
         assert M.window_matrix(np.array([], dtype=np.int64), window=2, pad_id=0).shape == (0, 5)
 
 
+def windows(params, ids):
+    """One sentence's window-id matrix under the config of ``params``."""
+    cfg = params.config
+    return M.window_matrix(ids, cfg.context_window, cfg.pad_id)
+
+
 class TestForward:
     def test_output_shapes(self):
         params = M.init_params(small_config())
         ids = M.featurize(["unu", "doi", "trei"], 512)
-        graph = M.forward(params, ids)
+        graph = M.forward_windows(params, windows(params, ids))
         assert graph.ner_logits.shape == (3, 11)
         assert graph.domain_logits.shape == (3, 4)
         assert graph.features.shape == (3, SMALL["hidden_dim"])
@@ -143,32 +145,33 @@ class TestForward:
     def test_empty_sentence_rejected(self):
         params = M.init_params(small_config())
         with pytest.raises(DataError):
-            M.forward(params, np.array([], dtype=np.int64))
+            M.forward_windows(params, windows(params, np.array([], dtype=np.int64)))
 
     def test_zeroing_domain_head_keeps_ner_logits(self):
         params = M.init_params(small_config())
         ids = M.featurize(["unu", "doi"], 512)
-        before = M.forward(params, ids).ner_logits.value.copy()
+        win = windows(params, ids)
+        before = M.forward_windows(params, win).ner_logits.value.copy()
         zeroed = params.copy()
         zeroed.domain_head["w"][...] = 0.0
         zeroed.domain_head["b"][...] = 0.0
-        after = M.forward(zeroed, ids)
+        after = M.forward_windows(zeroed, win)
         assert np.array_equal(after.ner_logits.value, before)
         assert not np.array_equal(
-            after.domain_logits.value, M.forward(params, ids).domain_logits.value
+            after.domain_logits.value, M.forward_windows(params, win).domain_logits.value
         )
 
     def test_head_independence_gradients(self):
         # each head's loss has identically zero gradient on the other head
         params = M.init_params(small_config())
-        ids = M.featurize(["unu", "doi", "trei"], 512)
-        graph = M.forward(params, ids)
+        win = windows(params, M.featurize(["unu", "doi", "trei"], 512))
+        graph = M.forward_windows(params, win)
         loss_ner = ad.mean(ad.softmax_cross_entropy(graph.ner_logits, np.array([0, 1, 2])))
         ad.backward(loss_ner)
         assert not graph.gradient(("domain_head", "w")).any()
         assert not graph.gradient(("domain_head", "b")).any()
 
-        graph = M.forward(params, ids)
+        graph = M.forward_windows(params, win)
         loss_dom = ad.mean(ad.softmax_cross_entropy(graph.domain_logits, np.array([0, 0, 1])))
         ad.backward(loss_dom)
         assert not graph.gradient(("ner_head", "w")).any()
@@ -260,7 +263,8 @@ class TestPredict:
             params = M.init_params(small_config(seed))
             texts = [f"t{rng.integers(10_000)}" for _ in range(200)]
             ids = M.featurize(texts, 512)
-            tag_ids = np.argmax(M.forward(params, ids).ner_logits.value, axis=1)
+            logits = M.forward_windows(params, windows(params, ids)).ner_logits.value
+            tag_ids = np.argmax(logits, axis=1)
             hits += int((tag_ids == 0).sum())
             total += len(tag_ids)
         assert abs(hits / total - 1 / 11) < 0.03

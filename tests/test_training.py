@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,10 +75,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(mode="other"), dict(lam=-0.1), dict(clip_norm=0.0), dict(epochs=0), dict(lr=0.0),
-         dict(weight_decay=-0.01)],
+         dict(weight_decay=-0.01), dict(batch_size=0), dict(seed=-1), dict(lam=float("nan")),
+         dict(lr=float("inf")), dict(clip_norm=np.float64("inf")), dict(weight_decay=10**400)],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             T.TrainConfig(**kwargs).validate()
 
     @pytest.mark.parametrize(
@@ -91,6 +93,14 @@ class TestTrainConfig:
 
     def test_int_accepted_for_float(self):
         T.TrainConfig(lr=1, weight_decay=0, clip_norm=np.float64(2.0)).validate()
+
+
+@pytest.mark.parametrize("cls", [M.TaggerConfig, T.TrainConfig, SplitSpec])
+def test_bounds_table_names_declared_fields(cls):
+    # a key that is no field would be a bound that is never checked
+    names = {f.name for f in dataclasses.fields(cls)}
+    assert set(cls.BOUNDS) <= names
+    assert "BOUNDS" not in names and "BOUNDS" not in vars(cls())
 
 
 class TestComputeLosses:
