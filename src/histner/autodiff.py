@@ -4,6 +4,10 @@ Just enough engine for a windowed feed-forward tagger with two softmax
 heads: a handful of forward ops, a gradient-scaling pass-through, and a
 central finite-difference checker. Graphs are built per minibatch and
 discarded; there is no persistent tape.
+
+A gradient is made at its first contribution and later ones are added out
+of place, so nodes may share a gradient array and none is written after it
+is set; an op that must scatter in place scatters into a copy.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ class Node:
         return f"Node(op={self.op!r}, shape={self.shape})"
 
 
+def _accumulate(node: Node, g: np.ndarray) -> None:
+    """Add ``g`` to ``node.grad`` out of place, or make it the gradient."""
+    node.grad = g if node.grad is None else node.grad + g
+
+
 def _topo_order(root: Node) -> list[Node]:
     order: list[Node] = []
     visited = {id(root)}
@@ -57,7 +66,10 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Populate ``grad`` on every node reachable from a scalar loss."""
+    """Populate ``grad`` on every node reachable from a scalar loss; the
+    others keep ``None``. Nothing is zero-filled: a node's first contribution
+    is its gradient, later ones are added out of place, and no gradient array
+    is written after it is set."""
     if loss.value.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     if loss._backward_ran:
@@ -65,7 +77,7 @@ def backward(loss: Node) -> None:
     loss._backward_ran = True
     order = _topo_order(loss)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is not None:
@@ -79,16 +91,14 @@ def _require_2d(a: Node, op: str) -> None:
 
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum; also supports adding a row vector to a matrix."""
-    if a.shape == b.shape:
-        def bw(g):
-            a.grad += g
-            b.grad += g
-    elif a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-        def bw(g):
-            a.grad += g
-            b.grad += g.sum(axis=0)
-    else:
+    row = a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]
+    if a.shape != b.shape and not row:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, g.sum(axis=0) if row else g)
+
     return Node(a.value + b.value, (a, b), bw, "add")
 
 
@@ -97,8 +107,8 @@ def sub(a: Node, b: Node) -> Node:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
 
     def bw(g):
-        a.grad += g
-        b.grad -= g
+        _accumulate(a, g)
+        _accumulate(b, -g)
 
     return Node(a.value - b.value, (a, b), bw, "sub")
 
@@ -110,14 +120,14 @@ def mul(a: Node, b) -> Node:
             raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
         def bw(g):
-            a.grad += g * b.value
-            b.grad += g * a.value
+            _accumulate(a, g * b.value)
+            _accumulate(b, g * a.value)
 
         return Node(a.value * b.value, (a, b), bw, "mul")
     factor = float(b)
 
     def bw_scalar(g):
-        a.grad += g * factor
+        _accumulate(a, g * factor)
 
     return Node(a.value * factor, (a,), bw_scalar, "mul")
 
@@ -129,8 +139,8 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
 
     def bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _accumulate(a, g @ b.value.T)
+        _accumulate(b, a.value.T @ g)
 
     return Node(a.value @ b.value, (a, b), bw, "matmul")
 
@@ -139,7 +149,7 @@ def tanh(x: Node) -> Node:
     out_value = np.tanh(x.value)
 
     def bw(g):
-        x.grad += g * (1.0 - out_value * out_value)
+        _accumulate(x, g * (1.0 - out_value * out_value))
 
     return Node(out_value, (x,), bw, "tanh")
 
@@ -147,14 +157,11 @@ def tanh(x: Node) -> Node:
 def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
     if not nodes:
         raise ShapeError("concat: no inputs")
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
 
     def bw(g):
-        for node, lo, hi in zip(nodes, offsets, offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            node.grad += g[tuple(sl)]
+        for node, part in zip(nodes, np.split(g, bounds, axis=axis)):
+            _accumulate(node, part)
 
     return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), bw, "concat")
 
@@ -165,14 +172,14 @@ def mean(x: Node) -> Node:
         raise ShapeError("mean: empty input")
 
     def bw(g):
-        x.grad += np.full_like(x.value, g / size)
+        _accumulate(x, np.full_like(x.value, g / size))
 
     return Node(x.value.mean(), (x,), bw, "mean")
 
 
 def sum_(x: Node) -> Node:
     def bw(g):
-        x.grad += np.full_like(x.value, g)
+        _accumulate(x, np.full_like(x.value, g))
 
     return Node(x.value.sum(), (x,), bw, "sum")
 
@@ -188,6 +195,8 @@ def embedding_lookup(table: Node, ids) -> Node:
         )
 
     def bw(g):
+        # scattered in place, so into an array of its own
+        table.grad = np.zeros_like(table.value) if table.grad is None else table.grad.copy()
         np.add.at(table.grad, ids, g)
 
     return Node(table.value[ids], (table,), bw, "embedding_lookup")
@@ -214,7 +223,7 @@ def softmax_cross_entropy(logits: Node, targets) -> Node:
     def bw(g):
         delta = probs.copy()
         delta[rows, t] -= 1.0
-        logits.grad += delta * g[:, None]
+        _accumulate(logits, delta * g[:, None])
 
     return Node(-logp[rows, t], (logits,), bw, "softmax_cross_entropy")
 
@@ -227,7 +236,7 @@ def scale_gradient(x: Node, factor: float) -> Node:
     factor = float(factor)
 
     def bw(g):
-        x.grad += factor * g
+        _accumulate(x, factor * g)
 
     return Node(x.value, (x,), bw, "scale_gradient")
 

@@ -60,7 +60,7 @@ def _ensure_out(args) -> Path:
 def _read_json_object(path: str) -> dict:
     try:
         payload = json.loads(corpus.read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: must hold a JSON object, got {type(payload).__name__}")

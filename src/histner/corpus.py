@@ -716,8 +716,8 @@ def _json_lines(content: str) -> Iterator[tuple[int, object]]:
         if line.strip():
             try:
                 yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+                raise DataError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
 
 
 def _corpus_from_records(records: Iterable[tuple[int, object]]) -> Corpus:
@@ -825,7 +825,7 @@ def load_histnero(directory: str | Path) -> Splits:
         if text.lstrip().startswith("["):
             try:
                 rows = enumerate(json.loads(text), start=1)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         else:
             rows = _json_lines(text)

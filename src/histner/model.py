@@ -267,19 +267,21 @@ class ForwardGraph:
 
         Each row sums its window slots' gradients in the order a graph of
         per-slot lookups accumulates them (slot 2w first, down to slot 0;
-        tokens in order within a slot), so each sum is bitwise the dense
-        scatter's.
+        tokens in order within a slot), one in-order scatter per slot over
+        the flattened elements, so each sum is bitwise the dense scatter's.
         """
         n, slots = self.win_ids.shape
         grad = self.inputs.grad
         if grad is None:
             grad = np.zeros_like(self.inputs.value)
-        ids = self.win_ids[:, ::-1].T.ravel()
-        per_id = grad.reshape(n, slots, -1)[:, ::-1].transpose(1, 0, 2).reshape(n * slots, -1)
-        rows, row_of_id = np.unique(ids, return_inverse=True)
-        values = np.zeros((len(rows), per_id.shape[1]))
-        np.add.at(values, row_of_id, per_id)
-        return RowSparse(rows, values, self.n_table_rows)
+        grad = grad.reshape(n, slots, -1)
+        width = grad.shape[2]
+        rows, row_of_id = np.unique(self.win_ids, return_inverse=True)
+        start = row_of_id.reshape(n, slots) * width  # where each id's row starts in the values
+        values = np.zeros(len(rows) * width)
+        for slot in reversed(range(slots)):
+            np.add.at(values, (start[:, slot, None] + np.arange(width)).ravel(), grad[:, slot].ravel())
+        return RowSparse(rows, values.reshape(len(rows), width), self.n_table_rows)
 
     def gradient(self, key: tuple[str, str]) -> np.ndarray:
         """A leaf's dense gradient; the table's is ``embed_gradient``."""

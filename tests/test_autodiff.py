@@ -132,6 +132,53 @@ class TestBackward:
         assert np.allclose(combined, grad_of(f) + grad_of(g), rtol=1e-12, atol=1e-14)
 
 
+class TestFirstContribution:
+    """A gradient is its first contribution; later ones add out of place."""
+
+    def test_shared_gradient_unchanged_by_a_later_contribution(self):
+        a, b = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        # add(a, b) runs its backward first and hands a and b one array;
+        # mul then gives a its second contribution
+        ad.backward(ad.sum_(ad.add(ad.mul(a, 2.0), ad.add(a, b))))
+        assert np.array_equal(b.grad, [1.0, 1.0])
+        assert np.array_equal(a.grad, [3.0, 3.0])
+
+    def test_lookup_scatters_into_its_own_array(self):
+        table, other = leaf(np.ones((3, 2))), leaf(np.ones((3, 2)))
+        # the add's backward runs first and shares its gradient with ``other``
+        looked_up = ad.sum_(ad.embedding_lookup(table, [0, 0, 2]))
+        ad.backward(ad.add(looked_up, ad.sum_(ad.add(table, other))))
+        assert np.array_equal(other.grad, np.ones((3, 2)))
+        assert np.array_equal(table.grad, [[3.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
+
+    def test_node_used_twice(self):
+        x = leaf([1.5, -2.0])
+        ad.backward(ad.sum_(ad.mul(x, x)))
+        assert np.array_equal(x.grad, [3.0, -4.0])
+        x = leaf([1.5, -2.0])
+        ad.backward(ad.sum_(ad.add(x, x)))
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
+    def test_every_reachable_node_has_a_gradient(self):
+        rng = np.random.default_rng(2)
+        x, w, b, unused = (leaf(rng.normal(size=s)) for s in [(3, 4), (4, 2), (2,), (4, 2)])
+        h = ad.tanh(ad.add(ad.matmul(x, w), b))
+        off_graph = ad.add(w, unused)
+        loss = ad.mean(ad.softmax_cross_entropy(ad.scale_gradient(h, -0.5), [0, 1, 1]))
+        ad.backward(loss)
+        nodes = ad._topo_order(loss)
+        assert len(nodes) == 9
+        for node in nodes:
+            assert node.grad is not None and node.grad.shape == node.shape, node
+        assert unused.grad is None and off_graph.grad is None
+
+    def test_second_graph_starts_from_no_gradient(self):
+        w = leaf([1.0, 2.0])
+        ad.backward(ad.sum_(ad.mul(w, 3.0)))
+        ad.backward(ad.sum_(ad.mul(w, 5.0)))
+        assert np.array_equal(w.grad, [5.0, 5.0])
+
+
 class TestScaleGradient:
     def test_identity_forward(self):
         x = leaf([[1.0, -2.0]])

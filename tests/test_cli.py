@@ -415,6 +415,14 @@ MALFORMED = {
     "split file is not an object": (_split_file_case(b"5"), "bad_split.json"),
     "split file part is not a list": (
         _split_file_case(b'{"train": 5, "valid": [], "test": []}'), "'train' list"),
+    # json.loads raises a plain ValueError for an integer of more than 4300 digits
+    "config int too long to convert": (
+        _config_case(b'{"train": {"epochs": 1' + b"0" * 5000 + b"}}"),
+        "bad_config.json: invalid JSON"),
+    "corpus line int too long to convert": (
+        _jsonl_case(_RECORD, '{"year": 1' + "0" * 5000 + "}"), "line 2: invalid JSON"),
+    "split file int too long to convert": (
+        _split_file_case(b'{"train": [1' + b"0" * 5000 + b"]}"), "bad_split.json: invalid JSON"),
 }
 
 

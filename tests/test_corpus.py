@@ -589,6 +589,14 @@ class TestHistneroAdapter:
         with pytest.raises(DataError, match=f"valid.json: {message}"):
             C.load_histnero(tmp_path)
 
+    @pytest.mark.parametrize("layout", ["[{}]", "{}\n"], ids=["JSON array", "JSON lines"])
+    def test_int_too_long_to_convert_names_its_file(self, tmp_path, layout):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+        (tmp_path / "test.json").write_text(layout.format('{"id": 1' + "0" * 5000 + "}"))
+        with pytest.raises(DataError, match="test.json: .*invalid JSON"):
+            C.load_histnero(tmp_path)
+
     def test_missing_part(self, tmp_path):
         (tmp_path / "train.json").write_text("{}")
         with pytest.raises(DataError):

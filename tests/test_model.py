@@ -240,6 +240,43 @@ class TestRowSparse:
             gc.enable()
 
 
+def _scatter_2d(graph):
+    """The table gradient as one 2-D ``np.add.at`` over whole slot rows."""
+    n, slots = graph.win_ids.shape
+    ids = graph.win_ids[:, ::-1].T.ravel()
+    per_id = graph.inputs.grad.reshape(n, slots, -1)[:, ::-1].transpose(1, 0, 2).reshape(n * slots, -1)
+    rows, row_of_id = np.unique(ids, return_inverse=True)
+    values = np.zeros((len(rows), per_id.shape[1]))
+    np.add.at(values, row_of_id, per_id)
+    return rows, values
+
+
+class TestEmbedGradient:
+    @pytest.mark.parametrize("kind", ["pad-heavy", "hot-ids", "all-distinct"])
+    def test_flat_scatter_equals_2d_scatter_bitwise(self, kind):
+        params = M.init_params(small_config())
+        pad, slots = params.config.pad_id, 2 * SMALL["context_window"] + 1
+        rng = np.random.default_rng(len(kind))
+        for _ in range(10):
+            if kind == "pad-heavy":
+                win = np.where(rng.random((60, slots)) < 0.6, pad, rng.integers(0, 512, (60, slots)))
+                assert (win == pad).sum() >= 100
+            elif kind == "hot-ids":
+                win = rng.choice(rng.integers(0, 512, 4), size=(60, slots))
+            else:
+                win = rng.permutation(512)[: 100].reshape(20, slots)
+            graph = M.forward_windows(params, win)
+            grad = rng.normal(size=graph.inputs.shape) * 10.0 ** rng.integers(-8, 3)
+            grad[rng.random(grad.shape) < 0.2] = 0.0
+            grad[rng.random(grad.shape) < 0.2] = -0.0
+            graph.inputs.grad = grad
+            got = graph.embed_gradient()
+            rows, values = _scatter_2d(graph)
+            assert np.array_equal(got.rows, rows)
+            assert got.values.shape == values.shape
+            assert got.values.tobytes() == values.tobytes()
+
+
 class TestPredict:
     def test_deterministic(self):
         params = M.init_params(small_config())

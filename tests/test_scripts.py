@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -98,3 +99,16 @@ def test_benchmark_workloads_name_package_attributes():
     assert {"corpus.SplitSpec", "synthetic.RegionalConfig", "model.predict_tags",
             "training.predict_corpus"} <= names
     assert {"corpus.Document", "corpus.Sentence"} <= bound
+
+
+def test_benchmark_traced_run():
+    # one traced pass of the CLI training workload; it writes only under .perfbench/
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "train-cli-v32k",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    for name in ("autodiff.backward", "training.compute_losses", "model.forward_windows"):
+        assert result["metrics"][f"{name}.calls"]["value"] > 0, name

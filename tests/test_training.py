@@ -330,6 +330,23 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 0, batch at 8"):
             T.train(train_s, valid_s, small_config(), config)
 
+    # Training checks the whole table at every step, rows no batch reads included.
+    def test_nan_in_unread_row_between_steps_names_epoch_and_batch(self, monkeypatch):
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        read = {int(i) for s in T.encode_sentences(train_s + valid_s, small_config())
+                for i in s.windows.ravel()}
+        unread = next(r for r in range(512) if r not in read)
+        adam_step = T.adam_step
+
+        def spy(params, *args, **kwargs):
+            adam_step(params, *args, **kwargs)
+            params.extractor["embed"][unread, 0] = np.nan
+
+        monkeypatch.setattr(T, "adam_step", spy)
+        config = T.TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(TrainingError, match="epoch 0, batch at 8: .*non-finite"):
+            T.train(train_s, valid_s, small_config(), config)
+
     def test_diverged_validation_names_epoch(self):
         train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
         config = T.TrainConfig(epochs=1, lr=1e300, batch_size=len(train_s))
