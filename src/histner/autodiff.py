@@ -19,6 +19,14 @@ import numpy as np
 from .errors import GraphError, NonFiniteError, ShapeError
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every element of ``arr`` is finite, in one read unless it holds huge values."""
+    # a NaN or an infinity makes the sum of squares non-finite, and no term can
+    # cancel it; only a sum that overflows needs the element-wise check. vdot,
+    # unlike matmul, reports no overflow warning.
+    return bool(np.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all())
+
+
 class Node:
     """One value in the graph: data, a gradient slot, and a backward rule."""
 
@@ -26,7 +34,7 @@ class Node:
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(self.value)):
+        if not all_finite(self.value):
             raise NonFiniteError(f"op '{op}' produced non-finite values")
         self.grad: np.ndarray | None = None
         self.parents: tuple[Node, ...] = tuple(parents)

@@ -365,6 +365,8 @@ def validate_document(doc: Document) -> list[Violation]:
         violations.append(Violation(doc.id, idx, msg))
 
     for idx, sent in enumerate(doc.sentences):
+        if not sent.tokens:
+            flag(idx, "sentence has no tokens")
         if len(sent.tags) != len(sent.tokens):
             flag(idx, f"{len(sent.tags)} tags for {len(sent.tokens)} tokens")
         for a, b in zip(sent.tokens, sent.tokens[1:]):

@@ -309,7 +309,7 @@ def forward_windows(
     table = params.extractor["embed"]
     if win_ids.min() < 0 or win_ids.max() >= table.shape[0]:
         raise ShapeError(f"window id outside the embedding table with {table.shape[0]} rows")
-    if not np.isfinite(table).all():
+    if not ad.all_finite(table):
         raise NonFiniteError("embedding table has non-finite values")
     leaves = {key: ad.Node(arr) for key, arr in params.items_flat() if key != EMBED}
     x = ad.Node(table[win_ids].reshape(len(win_ids), -1))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -80,15 +80,17 @@ def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> l
     """Encode every sentence in one pass: the token texts are hashed in one
     call and the windows built in one call, over the concatenated ids with
     ``context_window`` padding ids after each sentence, so that no window
-    reaches into the next sentence."""
+    reaches into the next sentence. A sentence without tokens is an error."""
     texts, tag_ids, lengths = [], [], []
-    for s in sentences:
+    for i, s in enumerate(sentences):
         try:
             tag_ids.extend(TAG_TO_ID[t] for t in s.tags)
         except KeyError as exc:
             raise TagError(f"unknown tag {exc.args[0]!r}")
         if len(s.tags) != len(s):
             raise DataError(f"{len(s.tags)} tags for {len(s)} tokens")
+        if not len(s):
+            raise DataError(f"sentence {i} has no tokens")
         texts.extend(s.token_texts)
         lengths.append(len(s))
     w = config.context_window
@@ -96,10 +98,15 @@ def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> l
     at = np.arange(len(texts)) + np.repeat(np.arange(len(lengths)) * w, lengths)
     ids = np.full(len(texts) + len(lengths) * w, config.pad_id, dtype=np.int64)
     ids[at] = m.featurize(texts, config.vocab_size)
-    bounds = np.cumsum(lengths)[:-1]
-    windows = np.split(m.window_matrix(ids, w, config.pad_id)[at], bounds)
-    tags = np.split(np.array(tag_ids, dtype=np.int64), bounds)
+    windows = _per_sentence(m.window_matrix(ids, w, config.pad_id)[at], sentences)
+    tags = _per_sentence(np.array(tag_ids, dtype=np.int64), sentences)
     return [EncodedSentence(win, tag, int(s.region)) for win, tag, s in zip(windows, tags, sentences)]
+
+
+def _per_sentence(rows: np.ndarray, group: Sequence[Sentence | EncodedSentence]) -> list[np.ndarray]:
+    """Cut per-token rows into one view per sentence of the group, in order."""
+    ends = np.cumsum([len(s) for s in group]).tolist()
+    return [rows[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
@@ -280,32 +287,32 @@ def adam_step(
 # Prediction and evaluation
 # ---------------------------------------------------------------------------
 
-#: Sentences per forward graph at inference; bounds the graph's memory.
-_CHUNK = 64
+#: Window rows per forward graph at inference; bounds the graph's memory.
+_CHUNK_ROWS = 512
 
 
-def _forward_chunks(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> Iterator:
-    """Yield each run of ``_CHUNK`` sentences with the forward graph of its
-    concatenated windows; callers reduce a chunk before taking the next."""
-    for lo in range(0, len(encoded), _CHUNK):
-        group = encoded[lo : lo + _CHUNK]
-        yield group, m.forward_windows(params, np.concatenate([s.windows for s in group], axis=0))
-
-
-def _per_sentence(rows: np.ndarray, group: Sequence[EncodedSentence]) -> list[np.ndarray]:
-    """Split a chunk's per-token rows back into one block per sentence."""
-    return np.split(rows, np.cumsum([len(s) for s in group])[:-1])
+def _forward_chunks(params: m.TaggerParams, encoded: Sequence[EncodedSentence],
+                    reduce: Callable) -> Iterator:
+    """Pack whole sentences in order into runs of at most ``_CHUNK_ROWS`` window rows (a longer
+    sentence alone) and yield ``reduce(run, graph)`` of each; one graph is alive at a time."""
+    lo = rows = 0
+    for hi in range(1, len(encoded) + 1):
+        rows += len(encoded[hi - 1])
+        if hi == len(encoded) or rows + len(encoded[hi]) > _CHUNK_ROWS:
+            group, lo, rows = encoded[lo:hi], hi, 0
+            yield reduce(group, m.forward_windows(params, np.concatenate([s.windows for s in group])))
 
 
 def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> tuple[list[np.ndarray], int]:
     """One forward pass: the argmax tag ids of each sentence, and the number
     of tokens whose domain argmax is their sentence's region."""
-    tag_ids, domain_correct = [], 0
-    for group, graph in _forward_chunks(params, encoded):
-        tag_ids.extend(_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group))
+    def reduce(group, graph):
         domain_ids = np.argmax(graph.domain_logits.value, axis=1)
-        domain_correct += int((domain_ids == _region_ids(group)).sum())
-    return tag_ids, domain_correct
+        return (_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group),
+                int((domain_ids == _region_ids(group)).sum()))
+
+    chunks = list(_forward_chunks(params, encoded, reduce))
+    return [ids for tag_ids, _ in chunks for ids in tag_ids], sum(n for _, n in chunks)
 
 
 def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> list[np.ndarray]:
@@ -373,8 +380,6 @@ def _score(encoded: Sequence[EncodedSentence], gold_spans: list, tag_ids: list[n
 
     def score(rows) -> tuple[float, StrictF1Report]:
         matched, total = tokens[rows].sum(axis=0).tolist()
-        if total == 0:
-            raise DataError("no tokens to score")
         return matched / total, StrictF1Report.from_counts(counts[rows].sum(axis=0))
 
     by_region = {r: score(regions == r) for r in Region if (regions == r).any()}
@@ -511,7 +516,7 @@ def fit_domain_probe(
     encoded = encode_sentences(sentences, probe.config)
     if not encoded:
         raise DataError("empty probe training set")
-    features = np.concatenate([g.features.value for _, g in _forward_chunks(probe, encoded)])
+    features = np.concatenate(list(_forward_chunks(probe, encoded, lambda _, g: g.features.value)))
     regions = _region_ids(encoded)
     token_rows = _per_sentence(np.arange(len(regions)), encoded)
     head = probe.domain_head
@@ -584,11 +589,11 @@ def export_embeddings(
 ) -> None:
     """One TSV row per sentence: region name, then the mean feature vector
     over its tokens at six decimal places."""
-    lines = []
     row = "\t".join(["%.6f"] * params.config.hidden_dim)
-    for group, graph in _forward_chunks(params, encode_sentences(sentences, params.config)):
-        for enc, h in zip(group, _per_sentence(graph.features.value, group)):
-            if not len(h):
-                raise DataError("empty sentence")
-            lines.append(f"{Region(enc.region_id).display}\t{row % tuple(h.mean(axis=0).tolist())}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+    def reduce(group, graph):
+        return "".join(f"{Region(enc.region_id).display}\t{row % tuple(h.mean(axis=0).tolist())}\n"
+                       for enc, h in zip(group, _per_sentence(graph.features.value, group)))
+
+    chunks = _forward_chunks(params, encode_sentences(sentences, params.config), reduce)
+    Path(path).write_text("".join(chunks), encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ class TestForwardOps:
         with pytest.raises(NonFiniteError):
             leaf([np.inf])
 
+    def test_nonfinite_error_names_op(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="op 'mul'"):
+            ad.mul(leaf([1e200, 1.0]), 1e200)
+
     def test_embedding_lookup_bounds(self):
         table = leaf(np.ones((4, 2)))
         with pytest.raises(ShapeError):
@@ -44,6 +49,41 @@ class TestForwardOps:
         ad.backward(ad.sum_(out))
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (2, 3)
+
+
+def _arrays_with_one_value(value):
+    """Arrays of several shapes and layouts, each holding ``value`` once."""
+    rng = np.random.default_rng(0)
+    for shape in [(1,), (7,), (5, 3), (64, 33)]:
+        for at in (0, -1, int(np.prod(shape)) // 2):
+            arr = rng.normal(size=shape)
+            arr.flat[at] = value
+            yield arr
+    arr = rng.normal(size=(6, 8))
+    arr[2, 4] = value
+    yield arr[:, ::2]  # not contiguous
+    yield np.asarray(value)
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_element_is_found(self, value):
+        for arr in _arrays_with_one_value(value):
+            assert ad.all_finite(arr) is False
+
+    @pytest.mark.parametrize("value", [0.0, -3.5, 1e200, -1e308, 5e-324])
+    def test_finite_arrays_pass_without_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arr in _arrays_with_one_value(value):
+                assert ad.all_finite(arr) is True
+            assert ad.all_finite(np.full((9, 4), value)) is True
+
+    def test_empty_array_is_finite(self):
+        assert ad.all_finite(np.zeros((0, 3))) is True
+
+    def test_nan_and_infinity_together(self):
+        assert ad.all_finite(np.array([np.inf, 1.0, np.nan, -np.inf])) is False
 
 
 class TestBackward:

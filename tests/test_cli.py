@@ -92,6 +92,12 @@ class TestValidate:
         assert run(["validate", "--input", bad]) == 1
         assert "violation" in capsys.readouterr().err
 
+    def test_empty_sentence_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({**_RECORD, "tokens": [], "tags": []}) + "\n")
+        assert run(["validate", "--input", bad]) == 1
+        assert "d[0]: sentence has no tokens" in capsys.readouterr().err.splitlines()
+
 
 class TestConvert:
     def test_brat_to_jsonl_matches_golden(self, tmp_path):
@@ -344,6 +350,13 @@ def _split_file_case(content: bytes):
     return build
 
 
+def _empty_sentence_train_case(tmp_path, corpus_file):
+    path = tmp_path / "with_empty.jsonl"
+    empty = json.dumps({**_RECORD, "doc_id": "empty", "tokens": [], "tags": []})
+    path.write_text(corpus_file.read_text() + empty + "\n")
+    return ["train", "--input", path, "--out", tmp_path / "o"]
+
+
 def _non_utf8_corpus_case(tmp_path, corpus_file):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b"\xff" + corpus_file.read_bytes())
@@ -357,6 +370,7 @@ MALFORMED = {
     "year is a string": (_jsonl_case({**_RECORD, "year": "1900"}), "line 1"),
     "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
     "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
+    "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
     "second iaa layer has a bad record": (_iaa_case, "layer_b.jsonl: line 2"),
     "checkpoint is not an npz": (
         _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),

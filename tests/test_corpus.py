@@ -292,6 +292,11 @@ class TestValidate:
         sent = make_sentence(["a", "b"], ["O"])
         assert len(validate_document(make_doc("d", [sent]))) == 1
 
+    def test_empty_sentence_flagged(self):
+        sents = [make_sentence(["a"], ["O"]), make_sentence([], [])]
+        assert [str(v) for v in validate_document(make_doc("d", sents))] == [
+            "d[1]: sentence has no tokens"]
+
     def test_duplicate_ids(self, tiny_corpus):
         dup = tiny_corpus + [make_doc("doc-a", tiny_corpus[0].sentences)]
         assert any("duplicate" in v.message for v in validate_corpus(dup))

@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -202,6 +203,27 @@ class TestGatherBoundary:
         params.extractor["embed"][unread, 0] = np.nan
         with pytest.raises(NonFiniteError):
             M.forward_windows(params, win)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_non_finite_at_either_end_of_the_table_rejected(self, value, at):
+        # rows 0 and the padding row (the last) are not read by these windows
+        params = M.init_params(small_config())
+        win = np.arange(5, 20).reshape(3, 5)
+        params.extractor["embed"].flat[at] = value
+        with pytest.raises(NonFiniteError, match="embedding table"):
+            M.forward_windows(params, win)
+
+    def test_huge_finite_table_accepted_without_warning(self):
+        # the squares of 1e200 overflow; every element is still finite
+        params = M.init_params(small_config())
+        table = params.extractor["embed"]
+        table[...] = np.where(np.random.default_rng(0).random(table.shape) < 0.5, -1e200, 1e200)
+        win = M.window_matrix(M.featurize(["unu", "doi"], 512), 2, params.config.pad_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = M.forward_windows(params, win)
+        assert np.isfinite(graph.ner_logits.value).all()
 
 
 class TestRowSparse:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from histner import training
 from histner.corpus import Region
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,14 +102,25 @@ def test_benchmark_workloads_name_package_attributes():
     assert {"corpus.Document", "corpus.Sentence"} <= bound
 
 
-def test_benchmark_traced_run():
-    # one traced pass of the CLI training workload; it writes only under .perfbench/
+def _traced_benchmark_run(workload):
+    """One traced pass of a benchmark workload; it writes only under .perfbench/."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "train-cli-v32k",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    return result["metrics"]
+
+
+def test_benchmark_traced_run():
+    metrics = _traced_benchmark_run("train-cli-v32k")
     for name in ("autodiff.backward", "training.compute_losses", "model.forward_windows"):
-        assert result["metrics"][f"{name}.calls"]["value"] > 0, name
+        assert metrics[f"{name}.calls"]["value"] > 0, name
+
+
+def test_benchmark_traced_inference_run():
+    metrics = _traced_benchmark_run("corpus-infer-v32k")
+    assert metrics["model.forward_windows.calls"]["value"] > 0
+    assert metrics["model.forward_windows.rows_per_call"]["value"] <= training._CHUNK_ROWS

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from histner import autodiff as ad
@@ -367,6 +368,96 @@ class TestPredictEncoded:
             assert np.array_equal(permuted[out_pos], preds[src_pos])
 
 
+def _greedy_packs(lengths, budget):
+    """Sentence lengths packed whole and in order: a sentence opens a new pack
+    when the current one cannot take it within ``budget`` rows."""
+    packs = []
+    for n in lengths:
+        if packs and sum(packs[-1]) + n <= budget:
+            packs[-1].append(n)
+        else:
+            packs.append([n])
+    return packs
+
+
+def _sentences_of_lengths(lengths):
+    return [make_sentence([f"w{(i * 7 + k) % 300}" for k in range(n)], ["O"] * n,
+                          Region(i % len(Region)))
+            for i, n in enumerate(lengths)]
+
+
+class TestRowPacking:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 3 * T._CHUNK_ROWS), min_size=1, max_size=6))
+    @example([T._CHUNK_ROWS - 1, 1, 1])
+    @example([T._CHUNK_ROWS, T._CHUNK_ROWS + 1, 3 * T._CHUNK_ROWS, 2])
+    @example([3] * 400)
+    def test_whole_sentences_in_order_within_the_row_budget(self, lengths):
+        sentences = _sentences_of_lengths(lengths)
+        params = M.init_params(small_config())
+        if 0 in lengths:
+            with pytest.raises(DataError, match=f"^sentence {lengths.index(0)} has no tokens$"):
+                T.predict_corpus(params, sentences)
+            return
+        chunks = []
+        real_forward = M.forward_windows
+
+        def forward_spy(params, windows, **kwargs):
+            chunks.append(windows)
+            return real_forward(params, windows, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "forward_windows", forward_spy)
+            predicted = T.predict_corpus(params, sentences)
+        encoded = T.encode_sentences(sentences, params.config)
+        # every sentence once, in order: the chunks concatenate to the corpus
+        assert np.array_equal(np.concatenate(chunks), np.concatenate([s.windows for s in encoded]))
+        ends = np.cumsum(lengths).tolist()
+        chunk_ends = np.cumsum([len(c) for c in chunks]).tolist()
+        assert set(chunk_ends) <= set(ends)
+        for lo, hi in zip([0] + chunk_ends, chunk_ends):
+            n_sentences = sum(lo < end <= hi for end in ends)
+            assert hi - lo <= T._CHUNK_ROWS or n_sentences == 1
+        assert [len(c) for c in chunks] == [sum(p) for p in _greedy_packs(lengths, T._CHUNK_ROWS)]
+        assert predicted == [M.predict_tags(params, s.token_texts) for s in sentences]
+
+
+    @pytest.mark.parametrize("run", ["predict_corpus", "domain_accuracy", "export_embeddings",
+                                     "fit_domain_probe"])
+    def test_one_graph_alive_at_a_time(self, run, monkeypatch, tmp_path):
+        # the row budget bounds memory only if a chunk's graph is freed
+        # before the next one is built
+        sentences = _sentences_of_lengths([200] * 8)
+        graphs, real_forward = [], M.forward_windows
+
+        def forward_spy(params, windows, **kwargs):
+            assert all(ref() is None for ref in graphs)
+            graph = real_forward(params, windows, **kwargs)
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(M, "forward_windows", forward_spy)
+        args = (tmp_path / "e.tsv",) if run == "export_embeddings" else ()
+        getattr(T, run)(M.init_params(small_config()), sentences, *args)
+        assert len(graphs) == len(_greedy_packs([200] * 8, T._CHUNK_ROWS)) > 1
+
+
+class TestEmptySentence:
+    """An empty sentence is an error wherever it sits in the list."""
+
+    @pytest.mark.parametrize("where", ["after a sentence", "64 before a sentence"])
+    @pytest.mark.parametrize("run", ["evaluate", "domain_accuracy", "predict_corpus",
+                                     "export_embeddings"])
+    def test_every_inference_entry_raises_the_same_error(self, where, run, tmp_path):
+        sent = make_sentence(["unu", "doi"], ["O", "O"], Region.MOLDAVIA)
+        empty = make_sentence([], [], Region.MOLDAVIA)
+        sentences, index = ([sent, empty], 1) if where == "after a sentence" else ([empty] * 64 + [sent], 0)
+        params = M.init_params(small_config())
+        args = (tmp_path / "e.tsv",) if run == "export_embeddings" else ()
+        with pytest.raises(DataError, match=f"^sentence {index} has no tokens$"):
+            getattr(T, run)(params, sentences, *args)
+
+
 class TestEvaluate:
     def test_perfect_predictor_scores_one(self):
         corpus = separable_corpus(0, n_sentences=200)
@@ -458,7 +549,8 @@ class TestValidationPass:
         monkeypatch.setattr(M, "forward_windows", forward_spy)
         result = T.train(train_s, valid_s, small_config(), config)
         assert sorted(encodes) == [len(train_s), len(valid_s)]
-        assert forwards.count("validation") == config.epochs * -(-len(valid_s) // T._CHUNK)
+        packs = _greedy_packs([len(s) for s in valid_s], T._CHUNK_ROWS)
+        assert forwards.count("validation") == config.epochs * len(packs)
         assert forwards.count("step") == config.epochs * -(-len(train_s) // config.batch_size)
         last = result.history[-1]
         report = T.evaluate(result.final_params, valid_s)
@@ -564,6 +656,8 @@ def _reference_encode_sentences(sentences, config):
             raise TagError(f"unknown tag {exc.args[0]!r}")
         if len(tag_ids) != len(ids):
             raise DataError(f"{len(tag_ids)} tags for {len(ids)} tokens")
+        if not len(ids):
+            raise DataError(f"sentence {len(encoded)} has no tokens")
         windows = M.window_matrix(ids, config.context_window, config.pad_id)
         encoded.append(T.EncodedSentence(windows, tag_ids, int(sent.region)))
     return encoded
