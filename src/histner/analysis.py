@@ -32,9 +32,9 @@ class TfIdfEntry:
 def _terms(sentence) -> list[str]:
     # lowercase; drop tokens with no letter or digit (pure punctuation)
     return [
-        t.text.lower()
+        t.lower()
         for t in sentence.tokens
-        if any(ch.isalnum() for ch in t.text)
+        if any(ch.isalnum() for ch in t)
     ]
 
 

@@ -73,6 +73,11 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
+# Graph values and backward products are computed with numpy's overflow and
+# invalid-value warnings off, here and at every function that builds a graph:
+# each value still passes ``all_finite``, so a diverged run ends in the
+# ``NonFiniteError`` that names the op, with no RuntimeWarning before it.
+@np.errstate(over="ignore", invalid="ignore")
 def backward(loss: Node) -> None:
     """Populate ``grad`` on every node reachable from a scalar loss; the
     others keep ``None``. Nothing is zero-filled: a node's first contribution
@@ -249,6 +254,7 @@ def scale_gradient(x: Node, factor: float) -> Node:
     return Node(x.value, (x,), bw, "scale_gradient")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def finite_difference_check(
     f: Callable[[list[Node]], Node],
     params: Sequence[np.ndarray],

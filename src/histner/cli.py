@@ -38,17 +38,17 @@ def _write_json(path: Path, payload: dict | list) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path],
-                   seed: int | None) -> None:
+def write_manifest(args, config: dict, inputs: list[Path]) -> None:
+    """``manifest.json`` in the command's ``--out`` directory."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "seed": seed,
+        "seed": args.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(Path(args.out) / "manifest.json", manifest)
 
 
 def _ensure_out(args) -> Path:
@@ -84,14 +84,11 @@ def _train_configs(args) -> tuple[model.TaggerConfig, training.TrainConfig]:
         raise ConfigError(f"unknown config section {unknown[0]!r}")
     tagger_kwargs = _config_section(file_cfg, "tagger", model.TaggerConfig)
     train_kwargs = _config_section(file_cfg, "train", training.TrainConfig)
-    # flags override the config file
-    for flag, key in [
-        ("mode", "mode"), ("lam", "lam"), ("epochs", "epochs"), ("lr", "lr"),
-        ("batch", "batch_size"), ("clip", "clip_norm"), ("seed", "seed"),
-    ]:
-        value = getattr(args, flag, None)
+    # flags override the config file; each flag's dest is its field's name
+    for f in dataclasses.fields(training.TrainConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            train_kwargs[key] = value
+            train_kwargs[f.name] = value
     if args.seed is not None:
         tagger_kwargs["seed"] = args.seed
     return model.TaggerConfig(**tagger_kwargs), training.TrainConfig(**train_kwargs)
@@ -101,6 +98,16 @@ def _split_corpus(args, docs: corpus.Corpus) -> corpus.Splits:
     if args.split_file:
         return corpus.apply_split_file(docs, _read_json_object(args.split_file))
     return corpus.split_dataset(docs, corpus.SplitSpec(seed=args.seed or 0))
+
+
+def _load_for_model(path: str) -> corpus.Corpus:
+    """A JSONL corpus that the model can encode; its first violation is a
+    ``DataError`` naming the file, raised before anything is split or written."""
+    docs = corpus.load_jsonl(path)
+    violations = corpus.validate_corpus(docs)
+    if violations:
+        raise DataError(f"{path}: {violations[0]}")
+    return docs
 
 
 def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
@@ -118,7 +125,7 @@ def cmd_stats(args) -> int:
     if args.out:
         out = _ensure_out(args)
         _write_json(out / "stats.json", stats.to_json_dict())
-        write_manifest(out, "stats", {"input": args.input}, [Path(args.input)], args.seed)
+        write_manifest(args, {"input": args.input}, [Path(args.input)])
     return 0
 
 
@@ -128,7 +135,7 @@ def cmd_validate(args) -> int:
     if args.out:
         out = _ensure_out(args)
         _write_json(out / "violations.json", [str(v) for v in violations])
-        write_manifest(out, "validate", {"input": args.input}, [Path(args.input)], args.seed)
+        write_manifest(args, {"input": args.input}, [Path(args.input)])
     if violations:
         for v in violations:
             print(str(v), file=sys.stderr)
@@ -179,10 +186,10 @@ def cmd_convert(args) -> int:
     else:
         target = out / "corpus.conll"
         corpus.export_conll(docs, target)
-    write_manifest(out, "convert",
+    write_manifest(args,
                    {"from": args.source_format, "to": args.target_format,
                     "input": args.input, "region": args.region},
-                   inputs, args.seed)
+                   inputs)
     print(f"wrote {target}")
     return 0
 
@@ -193,9 +200,9 @@ def cmd_split(args) -> int:
     out = _ensure_out(args)
     for name, part in splits.parts().items():
         corpus.save_jsonl(part, out / f"{name}.jsonl")
-    write_manifest(out, "split",
+    write_manifest(args,
                    {"input": args.input, "split_file": args.split_file},
-                   [Path(args.input)], args.seed)
+                   [Path(args.input)])
     counts = {name: sum(len(d.sentences) for d in part) for name, part in splits.parts().items()}
     print(json.dumps(counts))
     return 0
@@ -209,8 +216,8 @@ def cmd_iaa(args) -> int:
     if args.out:
         out = _ensure_out(args)
         _write_json(out / "iaa.json", report.to_json_dict())
-        write_manifest(out, "iaa", {"input": args.input, "input_b": args.input_b},
-                       [Path(args.input), Path(args.input_b)], args.seed)
+        write_manifest(args, {"input": args.input, "input_b": args.input_b},
+                       [Path(args.input), Path(args.input_b)])
     return 0
 
 
@@ -222,13 +229,13 @@ def cmd_tfidf(args) -> int:
     if args.out:
         out = _ensure_out(args)
         (out / "tfidf.tsv").write_text(tsv, encoding="utf-8")
-        write_manifest(out, "tfidf", {"input": args.input, "k": args.k},
-                       [Path(args.input)], args.seed)
+        write_manifest(args, {"input": args.input, "k": args.k},
+                       [Path(args.input)])
     return 0
 
 
 def cmd_train(args) -> int:
-    docs = corpus.load_jsonl(args.input)
+    docs = _load_for_model(args.input)
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.train(
@@ -242,10 +249,10 @@ def cmd_train(args) -> int:
     report = training.evaluate(result.best_params, test_sentences or _sentences(splits.valid))
     _write_json(out / "eval.json", report.to_json_dict())
     (out / "eval.tsv").write_text(report.render_text() + "\n", encoding="utf-8")
-    write_manifest(out, "train",
+    write_manifest(args,
                    {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
                     "input": args.input, "split_file": args.split_file},
-                   [Path(args.input)], args.seed)
+                   [Path(args.input)])
     last = result.history[-1]
     print(f"best epoch {result.best_epoch}: valid F1 {max(h['valid_f1'] for h in result.history):.4f}")
     print(f"final: l_y {last['l_y']:.4f}  l_d {last['l_d']:.4f}")
@@ -254,20 +261,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    docs = corpus.load_jsonl(args.input)
+    docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
     report = training.evaluate(params, _sentences(docs))
     out = _ensure_out(args)
     _write_json(out / "eval.json", report.to_json_dict())
     (out / "eval.tsv").write_text(report.render_text() + "\n", encoding="utf-8")
-    write_manifest(out, "eval", {"input": args.input, "checkpoint": args.checkpoint},
-                   [Path(args.input), Path(args.checkpoint)], args.seed)
+    write_manifest(args, {"input": args.input, "checkpoint": args.checkpoint},
+                   [Path(args.input), Path(args.checkpoint)])
     print(report.render_text())
     return 0
 
 
 def cmd_crossregion(args) -> int:
-    docs = corpus.load_jsonl(args.input)
+    docs = _load_for_model(args.input)
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.inter_regional(splits, tagger_cfg, train_cfg)
@@ -278,23 +285,23 @@ def cmd_crossregion(args) -> int:
         for i, r in enumerate(result.regions)
     ]
     (out / "crossregion.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    write_manifest(out, "crossregion",
+    write_manifest(args,
                    {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
                     "input": args.input},
-                   [Path(args.input)], args.seed)
+                   [Path(args.input)])
     print(result.render_text())
     return 0
 
 
 def cmd_export_embeddings(args) -> int:
-    docs = corpus.load_jsonl(args.input)
+    docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
     out = _ensure_out(args)
     target = out / "embeddings.tsv"
     training.export_embeddings(params, _sentences(docs), target)
-    write_manifest(out, "export-embeddings",
+    write_manifest(args,
                    {"input": args.input, "checkpoint": args.checkpoint},
-                   [Path(args.input), Path(args.checkpoint)], args.seed)
+                   [Path(args.input), Path(args.checkpoint)])
     print(f"wrote {target}")
     return 0
 
@@ -318,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--clip", type=float, default=None)
+        p.add_argument("--batch", dest="batch_size", type=int, default=None)
+        p.add_argument("--clip", dest="clip_norm", type=float, default=None)
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         p.add_argument("--split-file", dest="split_file", default=None)
 

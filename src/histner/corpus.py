@@ -136,7 +136,7 @@ class RawSpan:
 
 @dataclass
 class Sentence:
-    tokens: list[Token]
+    tokens: list[str]
     tags: TagSequence
     region: Region
 
@@ -146,7 +146,7 @@ class Sentence:
 
     @property
     def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return self.tokens
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -369,10 +369,6 @@ def validate_document(doc: Document) -> list[Violation]:
             flag(idx, "sentence has no tokens")
         if len(sent.tags) != len(sent.tokens):
             flag(idx, f"{len(sent.tags)} tags for {len(sent.tokens)} tokens")
-        for a, b in zip(sent.tokens, sent.tokens[1:]):
-            if b.start < a.end:
-                flag(idx, f"tokens overlap or out of order at char {b.start}")
-                break
         for tag in sent.tags:
             if tag not in TAG_TO_ID:
                 flag(idx, f"unknown tag {tag!r}")
@@ -425,7 +421,7 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
         ]
         spans = align_spans(tokens, local)
         tags = encode_iob(spans, len(tokens))
-        sentences.append(Sentence(tokens=tokens, tags=tags, region=region))
+        sentences.append(Sentence(tokens=[t.text for t in tokens], tags=tags, region=region))
     return Document(id=doc_id, region=region, sentences=sentences)
 
 
@@ -659,22 +655,17 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 
 def sentence_from_texts(texts: Sequence[str], tags: Sequence[str], region: Region) -> Sentence:
-    """A sentence from token strings, with offsets as if joined by single spaces."""
-    tokens = []
-    pos = 0
-    for text in texts:
-        if not text:
-            raise DataError("empty token text")
-        tokens.append(Token(text, pos, pos + len(text)))
-        pos += len(text) + 1
-    return Sentence(tokens=tokens, tags=list(tags), region=region)
+    """A sentence from token strings; an empty string is an error."""
+    if not all(texts):
+        raise DataError("empty token text")
+    return Sentence(tokens=list(texts), tags=list(tags), region=region)
 
 
 def sentence_to_json_dict(doc_id: str, sent: Sentence, year: int | None) -> dict:
     obj = {
         "doc_id": doc_id,
         "region": sent.region.display,
-        "tokens": sent.token_texts,
+        "tokens": list(sent.tokens),
         "tags": list(sent.tags),
     }
     if year is not None:
@@ -763,7 +754,7 @@ def dumps_conll(corpus: Corpus) -> str:
     for doc in corpus:
         for sent in doc.sentences:
             for token, tag in zip(sent.tokens, sent.tags):
-                out.append(f"{token.text}\t{tag}\n")
+                out.append(f"{token}\t{tag}\n")
             out.append("\n")
     return "".join(out)
 

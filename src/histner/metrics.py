@@ -59,12 +59,6 @@ class StrictF1Report:
             per_label={l: PRF.from_counts(*c) for l, c in zip(EntityLabel, counts.tolist())},
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_json_dict(),
-            "per_label": {l.name: p.to_json_dict() for l, p in self.per_label.items()},
-        }
-
 
 #: Where a label's [tp, fp, fn] cells start in a sentence's flat count row.
 _LABEL_CELL = {label: 3 * i for i, label in enumerate(EntityLabel)}

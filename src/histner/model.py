@@ -271,10 +271,7 @@ class ForwardGraph:
         the flattened elements, so each sum is bitwise the dense scatter's.
         """
         n, slots = self.win_ids.shape
-        grad = self.inputs.grad
-        if grad is None:
-            grad = np.zeros_like(self.inputs.value)
-        grad = grad.reshape(n, slots, -1)
+        grad = self.inputs.grad.reshape(n, slots, -1)
         width = grad.shape[2]
         rows, row_of_id = np.unique(self.win_ids, return_inverse=True)
         start = row_of_id.reshape(n, slots) * width  # where each id's row starts in the values
@@ -289,6 +286,7 @@ class ForwardGraph:
         return leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward_windows(
     params: TaggerParams,
     win_ids: np.ndarray,

@@ -118,6 +118,7 @@ def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_losses(
     params: m.TaggerParams,
     batch: Sequence[EncodedSentence],
@@ -499,6 +500,7 @@ def train(
 _PROBE_BATCH = 32
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_domain_probe(
     params: m.TaggerParams,
     sentences: Sequence[Sentence],

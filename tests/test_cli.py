@@ -357,6 +357,21 @@ def _empty_sentence_train_case(tmp_path, corpus_file):
     return ["train", "--input", path, "--out", tmp_path / "o"]
 
 
+def _empty_sentence_test_case(tmp_path, corpus_file):
+    """A ``train`` run whose split file puts a document with an empty
+    sentence in the test part, which is scored only after training."""
+    path = tmp_path / "with_empty.jsonl"
+    empty = json.dumps({**_RECORD, "doc_id": "empty", "tokens": [], "tags": []})
+    path.write_text(corpus_file.read_text() + empty + "\n")
+    doc_ids = list(dict.fromkeys(json.loads(line)["doc_id"]
+                                 for line in corpus_file.read_text().splitlines()))
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": doc_ids[:-2], "valid": doc_ids[-2:-1],
+                                 "test": [doc_ids[-1], "empty"]}))
+    return ["train", "--input", path, "--split-file", split, "--epochs", "1",
+            "--out", tmp_path / "o"]
+
+
 def _non_utf8_corpus_case(tmp_path, corpus_file):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b"\xff" + corpus_file.read_bytes())
@@ -371,6 +386,8 @@ MALFORMED = {
     "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
     "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
     "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
+    "test split has an empty sentence": (
+        _empty_sentence_test_case, "with_empty.jsonl: empty[0]: sentence has no tokens"),
     "second iaa layer has a bad record": (_iaa_case, "layer_b.jsonl: line 2"),
     "checkpoint is not an npz": (
         _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),
@@ -451,6 +468,9 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     assert len(errors) == 1, err
     assert fragment in errors[0]
     assert "Traceback" not in err
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+        assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
 
 
 # A bounded fuzz of the file boundary: one record of a valid corpus, and the

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histner import corpus as C
+from histner import synthetic
 from histner.corpus import (
     EntityLabel,
     EntitySpan,
@@ -297,6 +298,11 @@ class TestValidate:
         assert [str(v) for v in validate_document(make_doc("d", sents))] == [
             "d[1]: sentence has no tokens"]
 
+    def test_unknown_tag_flagged(self):
+        sent = make_sentence(["a", "b"], ["O", "B-ANIMAL"])
+        assert [str(v) for v in validate_document(make_doc("d", [sent]))] == [
+            "d[0]: unknown tag 'B-ANIMAL'"]
+
     def test_duplicate_ids(self, tiny_corpus):
         dup = tiny_corpus + [make_doc("doc-a", tiny_corpus[0].sentences)]
         assert any("duplicate" in v.message for v in validate_corpus(dup))
@@ -343,7 +349,7 @@ class TestSplitDataset:
         ]
         splits = split_dataset(corpus, SplitSpec(seed=seed))
         def keys(docs):
-            return sorted((d.id, s.tokens[0].text) for d in docs for s in d.sentences)
+            return sorted((d.id, s.tokens[0]) for d in docs for s in d.sentences)
         assert keys(splits.train + splits.valid + splits.test) == keys(corpus)
         for part, ratio in zip(splits.parts().values(), C.SPLIT_RATIOS):
             for region, n in zip(Region, sizes):
@@ -613,3 +619,46 @@ class TestHistneroAdapter:
         (tmp_path / "test.json").write_bytes(b"\xff" + json.dumps(_RELEASE_ROW).encode())
         with pytest.raises(DataError, match="test.json: not UTF-8"):
             C.load_histnero(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# A sentence is its token strings, whichever builder made it
+# ---------------------------------------------------------------------------
+
+def _jsonl_sentences(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_RELEASE_ROW | {"doc_id": "d", "tags": ["B-PERSON", "O"]}) + "\n")
+    return list(C.iter_sentences(C.load_jsonl(path)))
+
+
+def _split_sentences(splits):
+    return [s for part in splits.parts().values() for s in C.iter_sentences(part)]
+
+
+def _release_sentences(tmp_path):
+    for name in ("train", "valid", "test"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+    return _split_sentences(C.load_histnero(tmp_path))
+
+
+SENTENCE_BUILDERS = {
+    "load_jsonl": _jsonl_sentences,
+    "load_histnero": _release_sentences,
+    "document_from_brat": lambda _: C.document_from_brat(
+        "d", Region.MOLDAVIA, "Mihai merge.\nAnul 1848 vine.", "T1\tPERSON 0 5\tMihai").sentences,
+    "sentence_from_texts": lambda _: [C.sentence_from_texts(["Ion", "vine"], ["B-PERSON", "O"],
+                                                            Region.WALLACHIA)],
+    "two_domain_corpus": lambda _: _split_sentences(synthetic.two_domain_corpus(0)),
+    "regional_corpus": lambda _: _split_sentences(synthetic.regional_corpus(0)),
+    "separable_corpus": lambda _: list(C.iter_sentences(
+        synthetic.separable_corpus(0, n_sentences=40, vocab_size=512))),
+}
+
+
+@pytest.mark.parametrize("builder", list(SENTENCE_BUILDERS))
+def test_sentence_tokens_are_strings(builder, tmp_path):
+    sentences = SENTENCE_BUILDERS[builder](tmp_path)
+    assert sentences
+    for sent in sentences:
+        assert all(type(t) is str for t in sent.tokens), sent.tokens
+        assert sent.token_texts is sent.tokens

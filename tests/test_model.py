@@ -148,6 +148,13 @@ class TestForward:
         with pytest.raises(DataError):
             M.forward_windows(params, windows(params, np.array([], dtype=np.int64)))
 
+    @pytest.mark.parametrize("shape", [(3, 2 * SMALL["context_window"]), (3,)],
+                             ids=["one slot short", "not a matrix"])
+    def test_window_shape_rejected(self, shape):
+        params = M.init_params(small_config())
+        with pytest.raises(ShapeError, match="window matrix has shape"):
+            M.forward_windows(params, np.zeros(shape, dtype=np.int64))
+
     def test_zeroing_domain_head_keeps_ner_logits(self):
         params = M.init_params(small_config())
         ids = M.featurize(["unu", "doi"], 512)

@@ -188,6 +188,18 @@ class TestComputeLosses:
         with pytest.raises(DataError):
             T.compute_losses(params, [], "baseline", 0.0)
 
+    def test_unknown_mode_rejected(self):
+        config = small_config()
+        batch = random_batch(np.random.default_rng(7), config)
+        with pytest.raises(ConfigError, match="unknown mode 'adversarial'"):
+            T.compute_losses(M.init_params(config), batch, "adversarial", 0.1)
+
+    def test_negative_lambda_rejected(self):
+        config = small_config()
+        batch = random_batch(np.random.default_rng(8), config)
+        with pytest.raises(ConfigError, match="lambda must be >= 0"):
+            T.compute_losses(M.init_params(config), batch, "loss_rev", -0.1)
+
 
 class TestClipGradients:
     def _grads(self, values):
@@ -255,6 +267,12 @@ class TestAdam:
         assert np.array_equal(table[untouched], decayed[untouched])
         assert not np.array_equal(table[rows], decayed[rows])
         assert np.flatnonzero(state.touched[M.EMBED]).tolist() == rows.tolist()
+
+    def test_gradient_shape_mismatch_rejected(self):
+        params, key, state = self._single(1.0)
+        with pytest.raises(DataError, match=r"gradient shape \(2,\) != param shape \(1,\)"):
+            T.adam_step(params, {key: np.zeros(2)}, state, lr=0.1)
+        assert params.ner_head["b"][0] == 1.0
 
     def test_decoupled_decay_only(self):
         params, key, state = self._single(1.0)
