@@ -715,8 +715,9 @@ def _json_lines(content: str) -> Iterator[tuple[int, object]]:
 
 def _corpus_from_records(records: Iterable[tuple[int, object]]) -> Corpus:
     """Documents from ``(line number, record)`` pairs in order; a record's
-    error carries its line number."""
+    error carries its line number. Records of one document agree on its year."""
     docs: dict[str, Document] = {}
+    first_line: dict[str, int] = {}
     for line_no, obj in records:
         try:
             doc_id, year, sent = _record_fields(obj)
@@ -724,6 +725,10 @@ def _corpus_from_records(records: Iterable[tuple[int, object]]) -> Corpus:
             raise DataError(f"line {line_no}: {exc}") from exc
         if doc_id not in docs:
             docs[doc_id] = Document(id=doc_id, region=sent.region, sentences=[], year=year)
+            first_line[doc_id] = line_no
+        elif year != docs[doc_id].year:
+            raise DataError(f"line {line_no}: document {doc_id!r} has year {year}, but "
+                            f"{docs[doc_id].year} at line {first_line[doc_id]}")
         docs[doc_id].sentences.append(sent)
     return list(docs.values())
 

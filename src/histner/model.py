@@ -102,11 +102,18 @@ class TaggerParams:
         )
 
     def save(self, path: str | Path) -> None:
+        # np.savez's layout, each array written from its own buffer: numpy's
+        # writer copies an array in blocks of up to 16 MB first
         meta = {"version": CHECKPOINT_VERSION, "config": asdict(self.config)}
-        arrays = {f"{g}.{n}": arr for (g, n), arr in self.items_flat()}
-        with open(path, "wb") as fh:
-            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                     **arrays)
+        arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                  **{f"{g}.{n}": arr for (g, n), arr in self.items_flat()}}
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(arr)  # no copy of a parameter, which is C-ordered
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(arr))
+                    fh.write(memoryview(arr).cast("B"))
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerParams":

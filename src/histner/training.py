@@ -168,6 +168,12 @@ def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
     """Scale all gradients by max_norm/norm when the global L2 norm
     exceeds max_norm; otherwise return them unchanged. A row-sparse
     gradient's norm is taken over its stored rows: the others are 0."""
+    # the exact norm is taken only when a rough one, summed in another order,
+    # is near or above max_norm: two orders of these sums differ by far less
+    # than 1e-6 in relative terms, so below that margin clipping cannot fire
+    stored = [g.values if isinstance(g, m.RowSparse) else g for g in grads.values()]
+    if np.sqrt(sum(float(np.vdot(a, a)) for a in stored)) <= max_norm * (1 - 1e-6):
+        return grads
     norm = global_grad_norm(grads)
     if norm <= max_norm or norm == 0.0:
         return grads
@@ -189,8 +195,10 @@ class AdamState:
     m: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     step: int = 0
-    #: Per row-sparse parameter, a mask of the rows that have ever had a
-    #: gradient.
+    #: Per row-sparse parameter whose moments are held for some rows only,
+    #: the sorted rows that have ever had a gradient; ``m`` and ``v`` hold
+    #: those rows in that order. A key without an entry has moments of the
+    #: parameter's shape.
     touched: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
@@ -251,9 +259,11 @@ def adam_step(
 
     A ``RowSparse`` gradient updates the moments and the parameter on the
     rows that have ever had a gradient, while they are at most
-    ``_SPARSE_SHARE`` of the table; beyond that, on the whole table. Every
-    other row has zero moments and a zero gradient, so its dense update is
-    exactly 0; only the decay, which stays dense, moves it.
+    ``_SPARSE_SHARE`` of the table, and the moments are held for those rows
+    only; beyond that, the moments take the table's shape and the whole
+    table is updated. Every other row has zero moments and a zero gradient,
+    so its dense update is exactly 0; only the decay, which stays dense,
+    moves it.
     """
     state.step += 1
     arrays = dict(params.items_flat())
@@ -266,22 +276,30 @@ def adam_step(
         if weight_decay:
             _decay(arr, lr * weight_decay)
         if key not in state.m:
-            state.m[key] = np.zeros_like(arr)
-            state.v[key] = np.zeros_like(arr)
-        m_, v_ = state.m[key], state.v[key]
-        if sparse:
-            touched = state.touched.setdefault(key, np.zeros(len(arr), dtype=bool))
-            touched[grad.rows] = True
-            rows = np.flatnonzero(touched)
+            if sparse:
+                state.touched[key] = np.zeros(0, dtype=np.int64)
+            size = (0, *arr.shape[1:]) if sparse else arr.shape
+            state.m[key], state.v[key] = np.zeros(size), np.zeros(size)
+        if key in state.touched:
+            old = state.touched[key]
+            rows = np.union1d(old, grad.rows) if sparse else np.arange(len(arr))
+            moments = state.m[key], state.v[key]
             if len(rows) <= _SPARSE_SHARE * len(arr):
-                row_grad = np.zeros((len(rows), *arr.shape[1:]))
-                row_grad[np.searchsorted(rows, grad.rows)] = grad.values
-                gathered = arr[rows], m_[rows], v_[rows]
-                _adam_update(*gathered, row_grad, lr, state.step)
-                arr[rows], m_[rows], v_[rows] = gathered
+                if len(rows) > len(old):  # new rows enter with zero moments
+                    at = np.searchsorted(rows, old)
+                    state.m[key], state.v[key] = (m.RowSparse(at, x, len(rows)).dense()
+                                                  for x in moments)
+                state.touched[key] = rows
+                row_grad = m.RowSparse(np.searchsorted(rows, grad.rows), grad.values, len(rows))
+                gathered = arr[rows]
+                _adam_update(gathered, state.m[key], state.v[key], row_grad.dense(), lr, state.step)
+                arr[rows] = gathered
                 continue
-            grad = grad.dense()
-        _adam_update(arr, m_, v_, grad, lr, state.step)
+            # past the share: the moments take the table's shape for good
+            del state.touched[key]
+            state.m[key], state.v[key] = (m.RowSparse(old, x, len(arr)).dense() for x in moments)
+        _adam_update(arr, state.m[key], state.v[key], grad.dense() if sparse else grad, lr,
+                     state.step)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +505,8 @@ def train(
         if valid_report.overall_f1.f1 > best_f1:
             best_f1 = valid_report.overall_f1.f1
             best_epoch = epoch
-            best_params = params.copy()
+            for (_, best), (_, arr) in zip(best_params.items_flat(), params.items_flat()):
+                np.copyto(best, arr)
     return TrainResult(
         best_params=best_params,
         final_params=params,

@@ -385,6 +385,13 @@ MALFORMED = {
     "year is a string": (_jsonl_case({**_RECORD, "year": "1900"}), "line 1"),
     "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
     "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
+    "document years disagree": (
+        _jsonl_case({**_RECORD, "year": 1900}, {**_RECORD, "year": 1900}, "",
+                    {**_RECORD, "year": 1850}),
+        "bad.jsonl: line 4: document 'd' has year 1850, but 1900 at line 1"),
+    "document year missing on a later line": (
+        _jsonl_case({**_RECORD, "year": 1900}, _RECORD),
+        "bad.jsonl: line 2: document 'd' has year None, but 1900 at line 1"),
     "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
     "test split has an empty sentence": (
         _empty_sentence_test_case, "with_empty.jsonl: empty[0]: sentence has no tokens"),

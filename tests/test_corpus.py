@@ -592,7 +592,9 @@ class TestHistneroAdapter:
     @pytest.mark.parametrize("bad_line, message", [
         ("{nope", "line 3: invalid JSON"),
         (json.dumps({**_RELEASE_ROW, "region": "Atlantis"}), "line 3: unknown region 'Atlantis'"),
-    ], ids=["invalid JSON", "unknown region"])
+        (json.dumps({**_RELEASE_ROW, "id": "valid-00000", "year": 1900}),
+         "line 3: document 'valid-00000' has year 1900, but None at line 1"),
+    ], ids=["invalid JSON", "unknown region", "document years disagree"])
     def test_bad_line_names_its_file_line(self, tmp_path, bad_line, message):
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")

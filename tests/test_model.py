@@ -1,7 +1,10 @@
+import dataclasses
 import gc
 import json
+import tracemalloc
 import warnings
 import weakref
+import zipfile
 
 import numpy as np
 import pytest
@@ -346,6 +349,31 @@ class TestCheckpoint:
         for (ka, va), (kb, vb) in zip(params.items_flat(), loaded.items_flat()):
             assert ka == kb
             assert np.array_equal(va, vb)
+
+    def test_entries_are_savez_bytes(self, tmp_path):
+        params = M.init_params(small_config(3))
+        params.save(tmp_path / "model.npz")
+        meta = {"version": M.CHECKPOINT_VERSION, "config": dataclasses.asdict(params.config)}
+        np.savez(tmp_path / "savez.npz",
+                 __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **{f"{g}.{n}": arr for (g, n), arr in params.items_flat()})
+        with zipfile.ZipFile(tmp_path / "model.npz") as got, \
+                zipfile.ZipFile(tmp_path / "savez.npz") as want:
+            assert got.namelist() == want.namelist()
+            for name in want.namelist():
+                assert got.read(name) == want.read(name), name
+
+    def test_save_makes_no_copy_of_the_table(self, tmp_path):
+        params = M.init_params(M.TaggerConfig())
+        table = params.extractor["embed"].nbytes
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            params.save(tmp_path / "model.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 0.1 * table, (peak - held) / table
 
     def test_shape_mismatch_rejected(self, tmp_path):
         params = M.init_params(small_config(1))

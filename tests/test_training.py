@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -233,6 +234,21 @@ class TestClipGradients:
         cosine = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
+    def test_exact_norm_taken_only_near_the_bound(self, monkeypatch):
+        calls = []
+        exact = T.global_grad_norm
+        monkeypatch.setattr(T, "global_grad_norm", lambda g: calls.append(1) or exact(g))
+        # a global norm of 0.5
+        table = M.RowSparse(np.array([1, 4]), np.array([[0.3, 0.0], [0.0, 0.4]]), 6)
+        for max_norm, exact_taken, clipped in ((5.0, False, False),
+                                               (0.5 * (1 + 1e-7), True, False),
+                                               (0.5 * (1 - 1e-7), True, True)):
+            calls.clear()
+            grads = {M.EMBED: table, ("ner_head", "b"): np.zeros(3)}
+            out = T.clip_gradients(grads, max_norm)
+            assert calls == ([1] if exact_taken else []), max_norm
+            assert (out is not grads) == clipped, max_norm
+
 
 class TestAdam:
     def _single(self, value):
@@ -266,7 +282,8 @@ class TestAdam:
         decayed = before - 0.1 * 0.01 * before
         assert np.array_equal(table[untouched], decayed[untouched])
         assert not np.array_equal(table[rows], decayed[rows])
-        assert np.flatnonzero(state.touched[M.EMBED]).tolist() == rows.tolist()
+        assert state.touched[M.EMBED].tolist() == rows.tolist()
+        assert state.m[M.EMBED].shape == state.v[M.EMBED].shape == (3, SMALL["embed_dim"])
 
     def test_gradient_shape_mismatch_rejected(self):
         params, key, state = self._single(1.0)
@@ -924,3 +941,52 @@ class TestRowSparseStepMatchesDenseReference:
         assert list(grads) == list(reference)
         for key in reference:
             assert np.array_equal(grads[key], reference[key]), key
+
+
+class TestCompactMoments:
+    def test_scattered_moments_match_dense_reference_every_step(self, monkeypatch):
+        # vocab 64: the touched rows pass half the table during the first
+        # epoch, so the moments go from compact to the table's shape
+        corpus = separable_corpus(6, n_sentences=60, vocab_size=64)
+        train_s, valid_s, _ = _split_sentences(corpus)
+        tagger_config = M.TaggerConfig(vocab_size=64, embed_dim=8, hidden_dim=16, seed=2)
+        config = T.TrainConfig(epochs=3, lr=5e-3, weight_decay=0.05, batch_size=8, seed=4)
+        shape = (tagger_config.vocab_size + 1, tagger_config.embed_dim)
+        reference = {"m": np.zeros(shape), "v": np.zeros(shape)}
+        compact = []
+        adam_step = T.adam_step
+
+        def spy(params, grads, state, lr, weight_decay=0.0):
+            adam_step(params, grads, state, lr, weight_decay)
+            g = grads[M.EMBED].dense()
+            reference["m"] = 0.9 * reference["m"] + (1 - 0.9) * g
+            reference["v"] = 0.999 * reference["v"] + (1 - 0.999) * g * g
+            rows = state.touched.get(M.EMBED)
+            for name in ("m", "v"):
+                held = getattr(state, name)[M.EMBED]
+                if rows is not None:
+                    assert len(held) == len(rows) <= T._SPARSE_SHARE * shape[0]
+                    held = M.RowSparse(rows, held, shape[0]).dense()
+                assert np.array_equal(held, reference[name]), (name, len(compact))
+            compact.append(rows is not None)
+
+        monkeypatch.setattr(T, "adam_step", spy)
+        T.train(train_s, valid_s, tagger_config, config)
+        assert compact[0] and not compact[-1]
+
+
+class TestMemory:
+    # tracemalloc sees numpy's buffers; sizes are in units of the CLI's
+    # default embedding table, (2^15 + 1) x 64 float64
+    TABLE = (2**15 + 1) * 64 * 8
+
+    def test_train_holds_the_table_and_one_best_copy(self):
+        corpus = separable_corpus(0, n_sentences=60, vocab_size=2**15)
+        train_s, valid_s, _ = _split_sentences(corpus)
+        tracemalloc.start()
+        try:
+            T.train(train_s, valid_s, M.TaggerConfig(), T.TrainConfig(epochs=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * self.TABLE, peak / self.TABLE
