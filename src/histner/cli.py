@@ -385,10 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("HISTNER_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("HISTNER_LOG", "WARNING")
+        # a known name maps to its number; basicConfig raises ValueError on any other
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ConfigError(f"HISTNER_LOG: unknown logging level {level!r}")
+        logging.basicConfig(level=level.upper())
         # every command records its seed, so each takes the split seed's rule
         corpus.check_config(corpus.SplitSpec(seed=args.seed or 0))
         return args.func(args)

@@ -133,22 +133,45 @@ class TaggerParams:
                 for key, size in (("n_tags", len(TAG_ALPHABET)), ("n_domains", len(Region))):
                     if values.pop(key, size) != size:
                         raise DataError(f"{path}: checkpoint {key} is not {size}")
-                params = init_params(TaggerConfig(**values))
+                config = TaggerConfig(**values)
+                config.validate()
             except (*_UNREADABLE, OSError, TypeError, KeyError, ConfigError) as exc:
                 raise DataError(f"{path}: unreadable checkpoint metadata ({exc!r})") from exc
-            for (group, name), arr in params.items_flat():
-                key = f"{group}.{name}"
-                if key not in data:
-                    raise DataError(f"{path}: missing parameter {key}")
-                try:
-                    loaded = data[key]
-                except (*_UNREADABLE, OSError) as exc:
-                    raise DataError(f"{path}: parameter {key} cannot be loaded ({exc!r})") from exc
-                if loaded.dtype != np.float64 or loaded.shape != arr.shape:
-                    raise DataError(f"{path}: parameter {key} is {loaded.dtype} of shape "
-                                    f"{loaded.shape}, expected float64 of shape {arr.shape}")
-                arr[...] = loaded
-        return params
+            # each entry read is the parameter itself, so sizes that cannot be
+            # allocated end at the missing-entry or shape check
+            groups: dict[str, dict[str, np.ndarray]] = {}
+            for group, entries in _param_layout(config).items():
+                groups[group] = {}
+                for name, (shape, _) in entries.items():
+                    key = f"{group}.{name}"
+                    if key not in data:
+                        raise DataError(f"{path}: missing parameter {key}")
+                    try:
+                        loaded = data[key]
+                    except (*_UNREADABLE, OSError) as exc:
+                        raise DataError(f"{path}: parameter {key} cannot be loaded ({exc!r})") from exc
+                    if loaded.dtype != np.float64 or loaded.shape != shape:
+                        raise DataError(f"{path}: parameter {key} is {loaded.dtype} of shape "
+                                        f"{loaded.shape}, expected float64 of shape {shape}")
+                    arr = np.ascontiguousarray(loaded)  # no copy of a C-ordered entry
+                    if not ad.all_finite(arr):
+                        raise DataError(f"{path}: parameter {key} has non-finite values")
+                    groups[group][name] = arr
+        return cls(config, **groups)
+
+
+def _param_layout(config: TaggerConfig) -> dict[str, dict[str, tuple[tuple[int, ...], int | None]]]:
+    """Each parameter's shape and the fan-in of its seeded init (``None`` for
+    a zero bias), by group, in the order ``init_params`` draws them."""
+    return {
+        "extractor": {"embed": ((config.vocab_size + 1, config.embed_dim), config.embed_dim),
+                      "w_hidden": ((config.input_dim, config.hidden_dim), config.input_dim),
+                      "b_hidden": ((config.hidden_dim,), None)},
+        "ner_head": {"w": ((config.hidden_dim, len(TAG_ALPHABET)), config.hidden_dim),
+                     "b": ((len(TAG_ALPHABET),), None)},
+        "domain_head": {"w": ((config.hidden_dim, len(Region)), config.hidden_dim),
+                        "b": ((len(Region),), None)},
+    }
 
 
 def init_params(config: TaggerConfig) -> TaggerParams:
@@ -156,28 +179,19 @@ def init_params(config: TaggerConfig) -> TaggerParams:
     config.validate()
     rng = np.random.default_rng(config.seed)
 
-    def uniform(shape, fan_in):
-        # every size enters one of these draws before any other allocation
+    def init(shape, fan_in):
+        # a size numpy cannot allocate is a ConfigError at the first parameter it reaches
         try:
+            if fan_in is None:
+                return np.zeros(shape)
             bound = 1.0 / np.sqrt(float(fan_in))
             return rng.uniform(-bound, bound, size=shape)
         except (ValueError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"cannot allocate a {shape} parameter for {config} ({exc})") from exc
 
-    extractor = {
-        "embed": uniform((config.vocab_size + 1, config.embed_dim), config.embed_dim),
-        "w_hidden": uniform((config.input_dim, config.hidden_dim), config.input_dim),
-        "b_hidden": np.zeros(config.hidden_dim),
-    }
-    ner_head = {
-        "w": uniform((config.hidden_dim, len(TAG_ALPHABET)), config.hidden_dim),
-        "b": np.zeros(len(TAG_ALPHABET)),
-    }
-    domain_head = {
-        "w": uniform((config.hidden_dim, len(Region)), config.hidden_dim),
-        "b": np.zeros(len(Region)),
-    }
-    return TaggerParams(config, extractor, ner_head, domain_head)
+    return TaggerParams(config, **{
+        group: {name: init(shape, fan_in) for name, (shape, fan_in) in entries.items()}
+        for group, entries in _param_layout(config).items()})
 
 
 def featurize(token_texts: Sequence[str], vocab_size: int) -> np.ndarray:

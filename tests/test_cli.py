@@ -275,15 +275,24 @@ def _checkpoint_case(write):
     return build
 
 
-def _embed_table_case(convert):
-    """An ``eval`` run on a checkpoint whose table array is ``convert``ed."""
+def _param_case(convert, key="extractor.embed"):
+    """An ``eval`` run on a checkpoint whose ``key`` array is ``convert``ed."""
     def write(path):
         init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16)).save(path)
         with np.load(path) as data:
             arrays = dict(data)
-        arrays["extractor.embed"] = convert(arrays["extractor.embed"])
+        arrays[key] = convert(arrays[key])
         np.savez(path, **arrays)
     return _checkpoint_case(write)
+
+
+def _with_value(value):
+    """A copy of an array with one element set to ``value``."""
+    def convert(arr):
+        arr = arr.copy()
+        arr.flat[3] = value
+        return arr
+    return convert
 
 
 def _meta_case(config):
@@ -409,9 +418,13 @@ MALFORMED = {
         _flag_entry(1, 14), "bad.npz: parameter extractor.embed"),
     "checkpoint entry flagged deflate, invalid block": (_flag_entry(0, 8, 0x06), "bad.npz"),
     "checkpoint table is an object array": (
-        _embed_table_case(lambda a: a.astype(object)), "bad.npz: parameter extractor.embed"),
+        _param_case(lambda a: a.astype(object)), "bad.npz: parameter extractor.embed"),
     "checkpoint table holds strings": (
-        _embed_table_case(lambda a: a.astype(str)), "bad.npz: parameter extractor.embed"),
+        _param_case(lambda a: a.astype(str)), "bad.npz: parameter extractor.embed"),
+    "checkpoint table holds a NaN": (
+        _param_case(_with_value(np.nan)), "bad.npz: parameter extractor.embed"),
+    "checkpoint NER weights hold an infinity": (
+        _param_case(_with_value(np.inf), "ner_head.w"), "bad.npz: parameter ner_head.w"),
     "unknown tagger config key": (
         _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),
     "unknown train config key": (
@@ -478,6 +491,14 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     if "--out" in argv:
         out = Path(argv[argv.index("--out") + 1])
         assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+
+
+def test_unknown_log_level_is_one_error_line(corpus_file, monkeypatch, capsys):
+    monkeypatch.setenv("HISTNER_LOG", "verbose")
+    assert run(["stats", "--input", corpus_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: HISTNER_LOG: unknown logging level 'verbose'"]
 
 
 # A bounded fuzz of the file boundary: one record of a valid corpus, and the

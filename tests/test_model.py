@@ -375,6 +375,31 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak - held < 0.1 * table, (peak - held) / table
 
+    def test_load_holds_one_table(self, tmp_path):
+        path = tmp_path / "model.npz"
+        M.init_params(M.TaggerConfig()).save(path)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            params = M.TaggerParams.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = params.extractor["embed"].nbytes
+        assert peak - held < 1.2 * table, (peak - held) / table
+
+    def test_fortran_ordered_entries_load_c_contiguous(self, tmp_path):
+        params = M.init_params(small_config(4))
+        meta = {"version": M.CHECKPOINT_VERSION, "config": dataclasses.asdict(params.config)}
+        np.savez(tmp_path / "model.npz",
+                 __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **{f"{g}.{n}": np.asfortranarray(arr) for (g, n), arr in params.items_flat()})
+        loaded = M.TaggerParams.load(tmp_path / "model.npz")
+        for (ka, va), (kb, vb) in zip(params.items_flat(), loaded.items_flat()):
+            assert ka == kb
+            assert vb.flags.c_contiguous and vb.flags.writeable, ka
+            assert np.array_equal(va, vb), ka
+
     def test_shape_mismatch_rejected(self, tmp_path):
         params = M.init_params(small_config(1))
         path = tmp_path / "model.npz"
