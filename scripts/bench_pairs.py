@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, for
+``BENCHMARK.json``'s ``run_seconds``; the parent runs first in even pairs
+and the change first in odd ones. For every end-to-end metric the summary
+gives each side's median and quartiles, the pairs the change wins, and
+whether the change's median is better than the parent's by more than the
+parent's quartile distance. Failed and attempted operations are counted
+per side; a run that ends without a result line counts as one failed.
+
+Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_result(stdout: str) -> dict | None:
+    """The JSON result on the last line of a run's output, or ``None``."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return result if isinstance(result, dict) and "metrics" in result else None
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    return parse_result(proc.stdout) if proc.returncode == 0 else None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
+    """Summary lines for ``pairs``, each ``{"parent": result, "change": result}``
+    where a result is a run's JSON result or ``None``."""
+    lines = [f"{'metric':20s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s}"
+             f" {'wins':>6s}  better by more than the parent's IQR"]
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = [{side: pair[side]["metrics"][name]["value"] for side in SIDES}
+                  for pair in pairs
+                  if all(pair[side] and name in pair[side]["metrics"] for side in SIDES)]
+        if not values:
+            lines.append(f"{name:20s} no pair with both results")
+            continue
+        stats = {side: quartiles([v[side] for v in values]) for side in SIDES}
+        cells = [f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in stats.values()]
+        wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in values)
+        q1, _, q3 = stats["parent"]
+        clear = sign * (stats["change"][1] - stats["parent"][1]) > q3 - q1
+        lines.append(f"{name:20s} {cells[0]:>36s} {cells[1]:>36s} {wins:>3d}/{len(values):<2d}"
+                     f"  {'yes' if clear else 'no'}")
+    for side in SIDES:
+        results = [pair[side] for pair in pairs]
+        failed = sum(r["failed"] if r else 1 for r in results)
+        attempted = sum(r["attempted"] if r else 1 for r in results)
+        lines.append(f"{side}: {failed} failed / {attempted} attempted")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for i in range(args.pairs):
+        pair = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            pair[side] = run_once(checkouts[side], args.workload, args.seed, bench["run_seconds"])
+            metrics = pair[side]["metrics"] if pair[side] else {}
+            shown = "  ".join(f"{name} {m['value']:.6g}" for name, m in metrics.items())
+            print(f"pair {i} {side}: {shown or 'no result'}", flush=True)
+        pairs.append(pair)
+    print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
+          f"seconds {bench['run_seconds']}")
+    print("\n".join(summarize(pairs, bench["end_to_end"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -389,10 +389,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         level = os.environ.get("HISTNER_LOG", "WARNING")
-        # a known name maps to its number; basicConfig raises ValueError on any other
+        # a known name maps to its number; setLevel raises ValueError on any other
         if not isinstance(logging.getLevelName(level.upper()), int):
             raise ConfigError(f"HISTNER_LOG: unknown logging level {level!r}")
-        logging.basicConfig(level=level.upper())
+        # basicConfig installs a handler once per process; the level is set on every call
+        logging.basicConfig()
+        logger.setLevel(level.upper())
         # every command records its seed, so each takes the split seed's rule
         corpus.check_config(corpus.SplitSpec(seed=args.seed or 0))
         return args.func(args)

@@ -529,16 +529,33 @@ def fit_domain_probe(
 ) -> m.TaggerParams:
     """Retrain only the domain head on frozen features.
 
-    Measures how much region information the feature extractor retains;
-    extractor and NER head are left untouched. The features are computed
-    once; each step trains the head on the rows of its batch's tokens.
+    Measures how much region information the feature extractor retains.
+    The probe shares its frozen groups, extractor and NER head, with
+    ``params`` as read-only views, so an in-place write to one of them
+    raises ``ValueError``; ``probe.copy()`` gives writable ones. Only the
+    domain head is the probe's own. The features are computed once; each
+    step trains the head on the rows of its batch's tokens.
     """
-    probe = params.copy()
+    TrainConfig(epochs=epochs, lr=lr, seed=seed).validate()
+
+    def frozen(group: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        views = {k: v.view() for k, v in group.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        return views
+
+    probe = m.TaggerParams(params.config, frozen(params.extractor), frozen(params.ner_head),
+                           {k: v.copy() for k, v in params.domain_head.items()})
     encoded = encode_sentences(sentences, probe.config)
     if not encoded:
         raise DataError("empty probe training set")
-    features = np.concatenate(list(_forward_chunks(probe, encoded, lambda _, g: g.features.value)))
     regions = _region_ids(encoded)
+    features = np.empty((len(regions), probe.config.hidden_dim))
+    at = 0
+    for h in _forward_chunks(probe, encoded, lambda _, g: g.features.value):
+        features[at : at + len(h)] = h
+        at += len(h)
+        del h  # frees this chunk's rows before the next chunk's graph is built
     token_rows = _per_sentence(np.arange(len(regions)), encoded)
     head = probe.domain_head
     state = AdamState()

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import logging
 import math
 import struct
 import tempfile
@@ -499,6 +500,18 @@ def test_unknown_log_level_is_one_error_line(corpus_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: HISTNER_LOG: unknown logging level 'verbose'"]
+
+
+def test_log_level_follows_each_call(corpus_file, monkeypatch, capsys):
+    histner_logger = logging.getLogger("histner")
+    before = histner_logger.level
+    try:
+        for name, level in (("warning", logging.WARNING), ("debug", logging.DEBUG)):
+            monkeypatch.setenv("HISTNER_LOG", name)
+            assert run(["stats", "--input", corpus_file]) == 0
+            assert histner_logger.getEffectiveLevel() == level, name
+    finally:
+        histner_logger.setLevel(before)
 
 
 # A bounded fuzz of the file boundary: one record of a valid corpus, and the

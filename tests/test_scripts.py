@@ -124,3 +124,33 @@ def test_benchmark_traced_inference_run():
     metrics = _traced_benchmark_run("corpus-infer-v32k")
     assert metrics["model.forward_windows.calls"]["value"] > 0
     assert metrics["model.forward_windows.rows_per_call"]["value"] <= training._CHUNK_ROWS
+
+
+def _result_line(failed=0, **values):
+    return json.dumps({"correct": not failed, "attempted": 4, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}})
+
+
+def test_bench_pairs_summary_of_canned_results():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    end_to_end = [{"name": "peak_rss_mb", "better": "lower"},
+                  {"name": "tok_s", "better": "higher"}]
+    parent_rss, change_rss = [67.0, 68.0, 67.5, 67.2, 67.4], [62.0, 62.5, 62.2, 67.3, 62.1]
+    outputs = [{"parent": "env: {}\n" + _result_line(peak_rss_mb=p, tok_s=100.0 + i),
+                "change": "pass 0: ...\n" + _result_line(peak_rss_mb=c, tok_s=100.0)}
+               for i, (p, c) in enumerate(zip(parent_rss, change_rss))]
+    outputs.append({"parent": _result_line(failed=1), "change": "Traceback (most recent call last)"})
+    pairs = [{side: bench_pairs.parse_result(out) for side, out in pair.items()}
+             for pair in outputs]
+    assert pairs[-1]["change"] is None
+    lines = bench_pairs.summarize(pairs, end_to_end)
+    rows = {line.split()[0]: line for line in lines[1:]}
+    # parent 67.0 67.2 67.4 67.5 68.0: median 67.4, quartiles 67.2 and 67.5
+    assert "67.4 [67.2, 67.5]" in rows["peak_rss_mb"]
+    assert "62.2 [62.1, 62.5]" in rows["peak_rss_mb"]
+    assert rows["peak_rss_mb"].split()[-2:] == ["4/5", "yes"]
+    # the change reads 100 throughout; it wins no pair and its median is lower
+    assert rows["tok_s"].split()[-2:] == ["0/5", "no"]
+    assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]

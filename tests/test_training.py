@@ -677,6 +677,33 @@ class TestDomainProbe:
         domain_keys = {("domain_head", "w"), ("domain_head", "b")}
         assert states and set(states[-1].m) == set(states[-1].v) == domain_keys
 
+    def test_frozen_groups_shared_read_only(self):
+        sents = list(iter_sentences(separable_corpus(5, n_sentences=40, vocab_size=512)))
+        params = M.init_params(small_config())
+        probe = T.fit_domain_probe(params, sents, epochs=1, seed=0)
+        for group in ("extractor", "ner_head"):
+            for name, arr in getattr(probe, group).items():
+                assert np.shares_memory(arr, getattr(params, group)[name]), (group, name)
+                assert not arr.flags.writeable, (group, name)
+        with pytest.raises(ValueError):
+            probe.extractor["embed"][0] += 1.0
+        for name, arr in probe.domain_head.items():
+            assert not np.shares_memory(arr, params.domain_head[name]), name
+            assert arr.flags.writeable, name
+        assert all(arr.flags.writeable for _, arr in probe.copy().items_flat())
+
+    @pytest.mark.parametrize("kwargs", [dict(epochs=-1), dict(lr=-0.5), dict(seed=-1),
+                                        dict(lr=float("nan")), dict(lr=float("inf"))],
+                             ids=["epochs", "lr-negative", "seed", "lr-nan", "lr-inf"])
+    def test_invalid_settings_rejected_before_any_work(self, kwargs, monkeypatch):
+        def fail(*args):
+            raise AssertionError("encoded before the settings were checked")
+
+        monkeypatch.setattr(T, "encode_sentences", fail)
+        sents = list(iter_sentences(separable_corpus(5, n_sentences=8, vocab_size=512)))
+        with pytest.raises(ConfigError):
+            T.fit_domain_probe(M.init_params(small_config()), sents, **kwargs)
+
 
 def _reference_encode_sentences(sentences, config):
     """The per-sentence loop the one-pass encoding replaced: hash each token,
@@ -990,3 +1017,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * self.TABLE, peak / self.TABLE
+
+    def test_probe_holds_the_head_only(self):
+        # the frozen groups are shared, so the features are most of the peak
+        sents = list(iter_sentences(separable_corpus(0, n_sentences=60, vocab_size=2**15)))
+        params = M.init_params(M.TaggerConfig())
+        tracemalloc.start()
+        try:
+            T.fit_domain_probe(params, sents, epochs=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * self.TABLE, peak / self.TABLE
