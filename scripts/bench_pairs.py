@@ -4,10 +4,13 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, for
 ``BENCHMARK.json``'s ``run_seconds``; the parent runs first in even pairs
 and the change first in odd ones. For every end-to-end metric the summary
-gives each side's median and quartiles, the pairs the change wins, and
-whether the change's median is better than the parent's by more than the
-parent's quartile distance. Failed and attempted operations are counted
-per side; a run that ends without a result line counts as one failed.
+gives each side's median and quartiles, the pairs the change wins, whether
+the change's median is better than the parent's by more than the parent's
+quartile distance (what a claimed gain must show), and whether it is worse
+than the parent's by more than the metric's ``bound``, a fraction of the
+parent's median (what every change must avoid). Failed and attempted
+operations are counted per side; a run that ends without a result line
+counts as one failed.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 """
@@ -52,7 +55,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
     """Summary lines for ``pairs``, each ``{"parent": result, "change": result}``
     where a result is a run's JSON result or ``None``."""
     lines = [f"{'metric':20s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s}"
-             f" {'wins':>6s}  better by more than the parent's IQR"]
+             f" {'wins':>6s}  {'better by > IQR':>15s}  worse by > bound"]
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = [{side: pair[side]["metrics"][name]["value"] for side in SIDES}
@@ -64,10 +67,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
         stats = {side: quartiles([v[side] for v in values]) for side in SIDES}
         cells = [f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in stats.values()]
         wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in values)
-        q1, _, q3 = stats["parent"]
-        clear = sign * (stats["change"][1] - stats["parent"][1]) > q3 - q1
+        q1, median, q3 = stats["parent"]
+        gain = sign * (stats["change"][1] - median)
+        verdicts = ["yes" if gain > q3 - q1 else "no",
+                    "yes" if -gain > metric["bound"] * abs(median) else "no"]
         lines.append(f"{name:20s} {cells[0]:>36s} {cells[1]:>36s} {wins:>3d}/{len(values):<2d}"
-                     f"  {'yes' if clear else 'no'}")
+                     f"  {verdicts[0]:>15s}  {verdicts[1]}")
     for side in SIDES:
         results = [pair[side] for pair in pairs]
         failed = sum(r["failed"] if r else 1 for r in results)

@@ -3,8 +3,8 @@
 One executable with subcommands covering the pipeline: stats, validate,
 convert, split, iaa, tfidf, train, eval, crossregion, export-embeddings.
 Human-readable tables go to stdout; machine-readable JSON/TSV files go to
-the output directory, accompanied by a run manifest. Exit codes: 0 on
-success, 1 on data or validation errors, 2 on usage errors.
+the output directory with a run manifest, once everything is computed.
+Exit codes: 0 on success, 1 on data or validation errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, payload: dict | list) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json(payload: dict | list) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_manifest(args, config: dict, inputs: list[Path]) -> None:
@@ -48,13 +48,33 @@ def write_manifest(args, config: dict, inputs: list[Path]) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    _write_json(Path(args.out) / "manifest.json", manifest)
+    (Path(args.out) / "manifest.json").write_text(_json(manifest), encoding="utf-8")
 
 
-def _ensure_out(args) -> Path:
+def _inputs(args) -> list[Path]:
+    """The files a command read through ``--input``, ``--input-b``,
+    ``--checkpoint`` and ``--split-file``, in that order."""
+    paths = (getattr(args, name, None) for name in ("input", "input_b", "checkpoint", "split_file"))
+    return [Path(p) for p in paths if p]
+
+
+def _publish(args, files: dict, config: dict, inputs: list[Path]) -> None:
+    """Write ``files`` into ``--out``, if given, and then the manifest.
+
+    Each command calls this once, after it has computed everything it
+    writes, so a command that fails creates no ``--out``. A file's content
+    is its text, or a writer called with the file's path.
+    """
+    if not args.out:
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8")
+        else:
+            content(out / name)
+    write_manifest(args, config, inputs)
 
 
 def _read_json_object(path: str) -> dict:
@@ -119,23 +139,17 @@ def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    docs = corpus.load_jsonl(args.input)
-    stats = corpus.corpus_stats(docs)
+    stats = corpus.corpus_stats(corpus.load_jsonl(args.input))
     print(stats.render_text())
-    if args.out:
-        out = _ensure_out(args)
-        _write_json(out / "stats.json", stats.to_json_dict())
-        write_manifest(args, {"input": args.input}, [Path(args.input)])
+    _publish(args, {"stats.json": _json(stats.to_json_dict())}, {"input": args.input},
+             _inputs(args))
     return 0
 
 
 def cmd_validate(args) -> int:
-    docs = corpus.load_jsonl(args.input)
-    violations = corpus.validate_corpus(docs)
-    if args.out:
-        out = _ensure_out(args)
-        _write_json(out / "violations.json", [str(v) for v in violations])
-        write_manifest(args, {"input": args.input}, [Path(args.input)])
+    violations = corpus.validate_corpus(corpus.load_jsonl(args.input))
+    _publish(args, {"violations.json": _json([str(v) for v in violations])},
+             {"input": args.input}, _inputs(args))
     if violations:
         for v in violations:
             print(str(v), file=sys.stderr)
@@ -163,75 +177,56 @@ def _collect_brat_pairs(root: Path) -> list[tuple[Path, Path]]:
 
 
 def cmd_convert(args) -> int:
-    out = _ensure_out(args)
-    inputs: list[Path] = []
     if args.source_format == "brat":
-        pairs = _collect_brat_pairs(Path(args.input))
-        docs: corpus.Corpus = []
-        for txt, ann in pairs:
+        inputs, docs, by_id, root = [], [], {}, Path(args.input)
+        for txt, ann in _collect_brat_pairs(root):
+            # the file stem is the document id
+            if txt.stem in by_id:
+                raise DataError(f"{root}: {by_id[txt.stem].relative_to(root)} and "
+                                f"{txt.relative_to(root)} give one document id {txt.stem!r}")
+            by_id[txt.stem] = txt
             inputs.extend([txt, ann])
-            if args.region:
-                region = corpus.Region.parse(args.region)
-            else:
-                region = corpus.Region.parse(txt.parent.name)
+            region = corpus.Region.parse(args.region or txt.parent.name)
             docs.append(corpus.document_from_brat(
                 txt.stem, region, corpus.read_text(txt), corpus.read_text(ann)))
         docs.sort(key=lambda d: d.id)
     else:
-        docs = corpus.load_jsonl(args.input)
-        inputs.append(Path(args.input))
-    if args.target_format == "jsonl":
-        target = out / "corpus.jsonl"
-        corpus.save_jsonl(docs, target)
-    else:
-        target = out / "corpus.conll"
-        corpus.export_conll(docs, target)
-    write_manifest(args,
-                   {"from": args.source_format, "to": args.target_format,
-                    "input": args.input, "region": args.region},
-                   inputs)
-    print(f"wrote {target}")
+        docs, inputs = corpus.load_jsonl(args.input), _inputs(args)
+    dumps = corpus.dumps_jsonl if args.target_format == "jsonl" else corpus.dumps_conll
+    name = f"corpus.{args.target_format}"
+    _publish(args, {name: dumps(docs)},
+             {"from": args.source_format, "to": args.target_format,
+              "input": args.input, "region": args.region},
+             inputs)
+    print(f"wrote {Path(args.out) / name}")
     return 0
 
 
 def cmd_split(args) -> int:
-    docs = corpus.load_jsonl(args.input)
-    splits = _split_corpus(args, docs)
-    out = _ensure_out(args)
-    for name, part in splits.parts().items():
-        corpus.save_jsonl(part, out / f"{name}.jsonl")
-    write_manifest(args,
-                   {"input": args.input, "split_file": args.split_file},
-                   [Path(args.input)])
-    counts = {name: sum(len(d.sentences) for d in part) for name, part in splits.parts().items()}
-    print(json.dumps(counts))
+    parts = _split_corpus(args, corpus.load_jsonl(args.input)).parts()
+    _publish(args, {f"{name}.jsonl": corpus.dumps_jsonl(part) for name, part in parts.items()},
+             {"input": args.input, "split_file": args.split_file}, _inputs(args))
+    print(json.dumps({name: sum(len(d.sentences) for d in part) for name, part in parts.items()}))
     return 0
 
 
 def cmd_iaa(args) -> int:
-    layer_a = corpus.load_jsonl(args.input)
-    layer_b = corpus.load_jsonl(args.input_b)
-    report = metrics.iaa_report(layer_a, layer_b)
+    report = metrics.iaa_report(corpus.load_jsonl(args.input), corpus.load_jsonl(args.input_b))
     print(report.render_text())
-    if args.out:
-        out = _ensure_out(args)
-        _write_json(out / "iaa.json", report.to_json_dict())
-        write_manifest(args, {"input": args.input, "input_b": args.input_b},
-                       [Path(args.input), Path(args.input_b)])
+    _publish(args, {"iaa.json": _json(report.to_json_dict())},
+             {"input": args.input, "input_b": args.input_b}, _inputs(args))
     return 0
 
 
 def cmd_tfidf(args) -> int:
-    docs = corpus.load_jsonl(args.input)
-    ranking = analysis.tfidf_top_k(docs, args.k)
-    tsv = analysis.render_tsv(ranking)
+    tsv = analysis.render_tsv(analysis.tfidf_top_k(corpus.load_jsonl(args.input), args.k))
     print(tsv, end="")
-    if args.out:
-        out = _ensure_out(args)
-        (out / "tfidf.tsv").write_text(tsv, encoding="utf-8")
-        write_manifest(args, {"input": args.input, "k": args.k},
-                       [Path(args.input)])
+    _publish(args, {"tfidf.tsv": tsv}, {"input": args.input, "k": args.k}, _inputs(args))
     return 0
+
+
+def _eval_files(report) -> dict[str, str]:
+    return {"eval.json": _json(report.to_json_dict()), "eval.tsv": report.render_text() + "\n"}
 
 
 def cmd_train(args) -> int:
@@ -241,18 +236,16 @@ def cmd_train(args) -> int:
     result = training.train(
         _sentences(splits.train), _sentences(splits.valid), tagger_cfg, train_cfg
     )
-    out = _ensure_out(args)
-    (out / "history.json").write_text(result.history_json(), encoding="utf-8")
-    result.best_params.save(out / "checkpoint_best.npz")
-    result.final_params.save(out / "checkpoint_final.npz")
-    test_sentences = _sentences(splits.test)
-    report = training.evaluate(result.best_params, test_sentences or _sentences(splits.valid))
-    _write_json(out / "eval.json", report.to_json_dict())
-    (out / "eval.tsv").write_text(report.render_text() + "\n", encoding="utf-8")
-    write_manifest(args,
-                   {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
-                    "input": args.input, "split_file": args.split_file},
-                   [Path(args.input)])
+    report = training.evaluate(result.best_params,
+                               _sentences(splits.test) or _sentences(splits.valid))
+    _publish(args,
+             {"history.json": result.history_json(),
+              "checkpoint_best.npz": result.best_params.save,
+              "checkpoint_final.npz": result.final_params.save,
+              **_eval_files(report)},
+             {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
+              "input": args.input, "split_file": args.split_file},
+             _inputs(args))
     last = result.history[-1]
     print(f"best epoch {result.best_epoch}: valid F1 {max(h['valid_f1'] for h in result.history):.4f}")
     print(f"final: l_y {last['l_y']:.4f}  l_d {last['l_d']:.4f}")
@@ -264,11 +257,8 @@ def cmd_eval(args) -> int:
     docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
     report = training.evaluate(params, _sentences(docs))
-    out = _ensure_out(args)
-    _write_json(out / "eval.json", report.to_json_dict())
-    (out / "eval.tsv").write_text(report.render_text() + "\n", encoding="utf-8")
-    write_manifest(args, {"input": args.input, "checkpoint": args.checkpoint},
-                   [Path(args.input), Path(args.checkpoint)])
+    _publish(args, _eval_files(report), {"input": args.input, "checkpoint": args.checkpoint},
+             _inputs(args))
     print(report.render_text())
     return 0
 
@@ -278,17 +268,16 @@ def cmd_crossregion(args) -> int:
     splits = _split_corpus(args, docs)
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.inter_regional(splits, tagger_cfg, train_cfg)
-    out = _ensure_out(args)
-    _write_json(out / "crossregion.json", result.to_json_dict())
     rows = [
         "\t".join([r.display] + [f"{v:.6f}" for v in result.matrix[i]])
         for i, r in enumerate(result.regions)
     ]
-    (out / "crossregion.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    write_manifest(args,
-                   {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
-                    "input": args.input},
-                   [Path(args.input)])
+    _publish(args,
+             {"crossregion.json": _json(result.to_json_dict()),
+              "crossregion.tsv": "\n".join(rows) + "\n"},
+             {"tagger": vars(tagger_cfg), "train": vars(train_cfg),
+              "input": args.input, "split_file": args.split_file},
+             _inputs(args))
     print(result.render_text())
     return 0
 
@@ -296,13 +285,11 @@ def cmd_crossregion(args) -> int:
 def cmd_export_embeddings(args) -> int:
     docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
-    out = _ensure_out(args)
-    target = out / "embeddings.tsv"
-    training.export_embeddings(params, _sentences(docs), target)
-    write_manifest(args,
-                   {"input": args.input, "checkpoint": args.checkpoint},
-                   [Path(args.input), Path(args.checkpoint)])
-    print(f"wrote {target}")
+    sentences = _sentences(docs)
+    _publish(args,
+             {"embeddings.tsv": lambda path: training.export_embeddings(params, sentences, path)},
+             {"input": args.input, "checkpoint": args.checkpoint}, _inputs(args))
+    print(f"wrote {Path(args.out) / 'embeddings.tsv'}")
     return 0
 
 

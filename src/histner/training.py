@@ -601,8 +601,10 @@ def inter_regional(
     config: TrainConfig,
 ) -> InterRegionalResult:
     """Train one model per region and evaluate it on every region's test
-    sentences; the diagonal is the intra-regional score. Each model is
-    evaluated once, over the whole test split, as soon as it is trained."""
+    sentences; the diagonal is the intra-regional score. Each model picks
+    its best epoch on its own region's validation sentences, never on the
+    test sentences it is scored on, and is evaluated once, over the whole
+    test split, as soon as it is trained."""
     regions = list(Region)
     train_by = {r: [s for s in iter_sentences(splits.train) if s.region == r] for r in regions}
     valid_by = {r: [s for s in iter_sentences(splits.valid) if s.region == r] for r in regions}
@@ -610,13 +612,15 @@ def inter_regional(
     for r in regions:
         if not train_by[r]:
             raise DataError(f"region {r.display} has no training sentences")
+        if not valid_by[r]:
+            raise DataError(f"region {r.display} has no validation sentences")
         if not test_by[r]:
             raise DataError(f"region {r.display} has no evaluation sentences")
 
     test = list(iter_sentences(splits.test))
     matrix = np.zeros((len(regions), len(regions)))
     for i, r in enumerate(regions):
-        trained = train(train_by[r], valid_by[r] or test_by[r], tagger_config, config).best_params
+        trained = train(train_by[r], valid_by[r], tagger_config, config).best_params
         per_region = evaluate(trained, test).per_region
         matrix[i] = [per_region[eval_region].f1.f1 for eval_region in regions]
     return InterRegionalResult(regions=regions, matrix=matrix)

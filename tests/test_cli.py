@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import logging
@@ -253,6 +254,7 @@ class TestCrossRegion:
         assert len(payload["f1"]) == 4
         assert len(payload["f1"][0]) == 4
         assert payload["regions"][0] == "Bessarabia"
+        assert json.loads((out / "manifest.json").read_text())["config"]["split_file"] is None
 
 
 _RECORD = {"doc_id": "d", "region": "Moldavia", "tokens": ["Ion", "vine"], "tags": ["B-PERSON", "O"]}
@@ -296,10 +298,10 @@ def _with_value(value):
     return convert
 
 
-def _meta_case(config):
+def _meta_case(config, version=CHECKPOINT_VERSION):
     """An ``eval`` run on a checkpoint whose metadata records ``config``."""
     return _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(json.dumps(
-        {"version": CHECKPOINT_VERSION, "config": config}).encode(), np.uint8)))
+        {"version": version, "config": config}).encode(), np.uint8)))
 
 
 def _corrupt_meta(path):
@@ -382,6 +384,18 @@ def _empty_sentence_test_case(tmp_path, corpus_file):
             "--out", tmp_path / "o"]
 
 
+def _brat_case(files: dict[str, str], *flags):
+    """A BRAT ``convert`` run on a directory holding ``files``."""
+    def build(tmp_path, corpus_file):
+        root = tmp_path / "brat"
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text, encoding="utf-8")
+        return ["convert", "--from", "brat", "--to", "jsonl", "--input", root, *flags,
+                "--out", tmp_path / "o"]
+    return build
+
+
 def _non_utf8_corpus_case(tmp_path, corpus_file):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b"\xff" + corpus_file.read_bytes())
@@ -412,6 +426,8 @@ MALFORMED = {
         _checkpoint_case(lambda p: np.savez(p, __meta__=np.frombuffer(b"{nope", np.uint8))),
         "bad.npz"),
     "checkpoint config value invalid": (_meta_case({"hidden_dim": 0}), "bad.npz"),
+    "checkpoint version is not 1": (
+        _meta_case({}, version=2), "bad.npz: unsupported checkpoint version 2"),
     "checkpoint vocab_size cannot be allocated": (_meta_case({"vocab_size": 2**62}), "bad.npz"),
     "checkpoint metadata bytes corrupted": (_checkpoint_case(_corrupt_meta), "bad.npz"),
     "checkpoint entry flagged bzip2": (_flag_entry(0, 12), "bad.npz"),
@@ -458,6 +474,14 @@ MALFORMED = {
     "tagger config sets the tag count": (_config_case({"tagger": {"n_tags": 11}}), "n_tags"),
     "tagger config sets the domain count": (
         _config_case({"tagger": {"n_domains": 4}}), "n_domains"),
+    "two BRAT files share a stem": (
+        _brat_case({f"{region}/a.{ext}": text for region in ("bessarabia", "moldavia")
+                    for ext, text in (("txt", "Ion vine.\n"), ("ann", "T1\tPERSON 0 3\tIon\n"))}),
+        "bessarabia/a.txt and moldavia/a.txt give one document id 'a'"),
+    "BRAT span runs over a line break": (
+        _brat_case({"x.txt": "abc\ndef\n", "x.ann": "T1\tPERSON 2 5\tc\nd\n"},
+                   "--region", "Moldavia"),
+        "does not match text slice 'c\\nd'"),
     "corpus is not UTF-8": (_non_utf8_corpus_case, "latin1.jsonl: not UTF-8"),
     "config file is not UTF-8": (_config_case(b'\xff{"train": {}}'), "bad_config.json: not UTF-8"),
     "config file is invalid JSON": (_config_case(b'{"train": '), "bad_config.json: invalid JSON"),
@@ -490,8 +514,70 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     assert fragment in errors[0]
     assert "Traceback" not in err
     if "--out" in argv:
-        out = Path(argv[argv.index("--out") + 1])
-        assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+def _split_file(tmp_path, corpus_file):
+    """A split file that puts the corpus's last two documents in valid and test."""
+    doc_ids = list(dict.fromkeys(json.loads(line)["doc_id"]
+                                 for line in corpus_file.read_text().splitlines()))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"train": doc_ids[:-2], "valid": doc_ids[-2:-1],
+                                "test": doc_ids[-1:]}))
+    return path
+
+
+def _small_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tagger": {"vocab_size": 512, "embed_dim": 8, "hidden_dim": 16},
+                                "train": {"epochs": 1}}))
+    return path
+
+
+def _json_file(name, check):
+    return lambda out, stdout: check(json.loads((out / name).read_text()))
+
+
+#: A command run with its ``--out`` files, and a check of those files
+#: against its standard output.
+PUBLISHED = {
+    "stats": (lambda tmp, c: ["stats", "--input", c], ["stats.json"],
+              _json_file("stats.json", lambda payload: payload["sentences"] == 80)),
+    "validate": (lambda tmp, c: ["validate", "--input", c], ["violations.json"],
+                 _json_file("violations.json", lambda payload: payload == [])),
+    "iaa": (lambda tmp, c: ["iaa", "--input", c, "--input-b", c], ["iaa.json"],
+            _json_file("iaa.json", lambda payload: payload["overall"]["kappa"] == 1.0)),
+    "tfidf": (lambda tmp, c: ["tfidf", "--input", c, "--k", 3], ["tfidf.tsv"],
+              lambda out, stdout: (out / "tfidf.tsv").read_text() == stdout),
+    "split with a split file": (
+        lambda tmp, c: ["split", "--input", c, "--split-file", _split_file(tmp, c)],
+        ["train.jsonl", "valid.jsonl", "test.jsonl"],
+        lambda out, stdout: json.loads(stdout) == {
+            name: len((out / f"{name}.jsonl").read_text().splitlines())
+            for name in ("train", "valid", "test")}),
+    "train with a split file": (
+        lambda tmp, c: ["train", "--input", c, "--split-file", _split_file(tmp, c),
+                        "--config", _small_config(tmp), "--seed", 1],
+        ["history.json", "checkpoint_best.npz", "checkpoint_final.npz", "eval.json", "eval.tsv"],
+        lambda out, stdout: (out / "eval.tsv").read_text() in stdout),
+}
+
+
+@pytest.mark.parametrize("case", list(PUBLISHED), ids=list(PUBLISHED))
+def test_out_holds_the_files_and_a_digest_of_every_input(case, corpus_file, tmp_path, capsys):
+    build, names, check = PUBLISHED[case]
+    argv = build(tmp_path, corpus_file)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+    assert check(out, capsys.readouterr().out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    read = [path for flag, path in zip(argv, argv[1:])
+            if flag in ("--input", "--input-b", "--checkpoint", "--split-file")]
+    assert manifest["inputs"] == [
+        {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()} for p in read]
 
 
 def test_unknown_log_level_is_one_error_line(corpus_file, monkeypatch, capsys):

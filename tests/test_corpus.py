@@ -285,6 +285,18 @@ class TestIobProperties:
 # Validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("value, region", [
+    (Region.MOLDAVIA, Region.MOLDAVIA), (2, Region.TRANSYLVANIA), (" wallachia ", Region.WALLACHIA),
+    (7, "unknown region code 7"), (True, "unknown region True"), ("Atlantis", "unknown region"),
+], ids=["region", "int code", "name", "unknown int code", "bool", "unknown name"])
+def test_region_parse(value, region):
+    if isinstance(region, Region):
+        assert Region.parse(value) is region
+    else:
+        with pytest.raises(DataError, match=region):
+            Region.parse(value)
+
+
 class TestValidate:
     def test_well_formed(self, tiny_corpus):
         assert validate_corpus(tiny_corpus) == []
@@ -437,6 +449,8 @@ class TestSplitDataset:
         with pytest.raises(DataError):
             # unassigned sentences are an error, so build a complete mapping first
             apply_split_file(tiny_corpus[:2], mapping)
+        with pytest.raises(DataError, match="leaves 1 sentences unassigned"):
+            apply_split_file(tiny_corpus, {**mapping, "valid": []})
         splits = apply_split_file(tiny_corpus, mapping)
         assert [d.id for d in splits.train] == ["doc-a", "doc-b"]
         assert [d.id for d in splits.valid] == ["doc-c"]
@@ -578,8 +592,11 @@ class TestHistneroAdapter:
         {**_RELEASE_ROW, "ner_tags": [True, False]},
         {"tokens": ["Ion", "merge"], "ner_tags": [1, 0], "region_id": True},
         [1, 2],
+        {"tokens": ["Ion", "merge"], "region": "Moldavia"},
+        {"tokens": ["Ion", "merge"], "ner_tags": [1, 0]},
     ], ids=["tokens string", "token number", "tags string", "tags mixed",
-            "negative tag index", "tags bool", "region_id bool", "record is an array"])
+            "negative tag index", "tags bool", "region_id bool", "record is an array",
+            "no tags", "no region"])
     def test_malformed_record_names_its_line(self, tmp_path, record):
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
@@ -611,8 +628,8 @@ class TestHistneroAdapter:
             C.load_histnero(tmp_path)
 
     def test_missing_part(self, tmp_path):
-        (tmp_path / "train.json").write_text("{}")
-        with pytest.raises(DataError):
+        (tmp_path / "train.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
+        with pytest.raises(DataError, match="no valid file found"):
             C.load_histnero(tmp_path)
 
     def test_non_utf8_part_names_its_file(self, tmp_path):

@@ -180,6 +180,16 @@ class TestTokenAccuracy:
             token_accuracy([["O", "O"]], [["O"]])
 
 
+@pytest.mark.parametrize("score", [token_accuracy, cohens_kappa])
+@pytest.mark.parametrize("a, b, message", [
+    ([["O"], ["O"]], [["O"]], "has 2 sentences"),
+    ([["O"], ["O", "O"]], [["O"], ["O"]], "sentence 1: "),
+], ids=["sentence count", "sentence length"])
+def test_misaligned_tag_lists_rejected(score, a, b, message):
+    with pytest.raises(DataError, match=message):
+        score(a, b)
+
+
 class TestCohensKappa:
     def test_identical_nonconstant(self):
         tags = [["O", "B-DATE", "O", "B-PERSON"]]

@@ -135,12 +135,16 @@ def test_bench_pairs_summary_of_canned_results():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    end_to_end = [{"name": "peak_rss_mb", "better": "lower"},
-                  {"name": "tok_s", "better": "higher"}]
+    end_to_end = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                  {"name": "tok_s", "better": "higher", "bound": 0.25},
+                  {"name": "wall_s", "better": "lower", "bound": 0.25}]
     parent_rss, change_rss = [67.0, 68.0, 67.5, 67.2, 67.4], [62.0, 62.5, 62.2, 67.3, 62.1]
-    outputs = [{"parent": "env: {}\n" + _result_line(peak_rss_mb=p, tok_s=100.0 + i),
-                "change": "pass 0: ...\n" + _result_line(peak_rss_mb=c, tok_s=100.0)}
-               for i, (p, c) in enumerate(zip(parent_rss, change_rss))]
+    # the change's wall_s median, 1.3, is worse than the parent's 1.0 by more than 25 %
+    parent_wall, change_wall = [1.0, 0.9, 1.1, 1.0, 1.0], [1.3, 1.2, 1.4, 1.3, 0.8]
+    outputs = [{"parent": "env: {}\n" + _result_line(peak_rss_mb=p, tok_s=100.0 + i, wall_s=pw),
+                "change": "pass 0: ...\n" + _result_line(peak_rss_mb=c, tok_s=100.0, wall_s=cw)}
+               for i, (p, c, pw, cw) in enumerate(zip(parent_rss, change_rss,
+                                                      parent_wall, change_wall))]
     outputs.append({"parent": _result_line(failed=1), "change": "Traceback (most recent call last)"})
     pairs = [{side: bench_pairs.parse_result(out) for side, out in pair.items()}
              for pair in outputs]
@@ -150,7 +154,10 @@ def test_bench_pairs_summary_of_canned_results():
     # parent 67.0 67.2 67.4 67.5 68.0: median 67.4, quartiles 67.2 and 67.5
     assert "67.4 [67.2, 67.5]" in rows["peak_rss_mb"]
     assert "62.2 [62.1, 62.5]" in rows["peak_rss_mb"]
-    assert rows["peak_rss_mb"].split()[-2:] == ["4/5", "yes"]
-    # the change reads 100 throughout; it wins no pair and its median is lower
-    assert rows["tok_s"].split()[-2:] == ["0/5", "no"]
+    assert rows["peak_rss_mb"].split()[-3:] == ["4/5", "yes", "no"]
+    # the change reads 100 throughout; it wins no pair and its median is lower,
+    # by 2 %, within the bound
+    assert rows["tok_s"].split()[-3:] == ["0/5", "no", "no"]
+    assert "1 [1, 1]" in rows["wall_s"] and "1.3 [1.2, 1.3]" in rows["wall_s"]
+    assert rows["wall_s"].split()[-3:] == ["1/5", "no", "yes"]
     assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]

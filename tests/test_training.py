@@ -17,6 +17,7 @@ from histner.corpus import (
     Region,
     Sentence,
     SplitSpec,
+    Splits,
     decode_iob,
     iter_sentences,
     split_dataset,
@@ -492,6 +493,12 @@ class TestEmptySentence:
         with pytest.raises(DataError, match=f"^sentence {index} has no tokens$"):
             getattr(T, run)(params, sentences, *args)
 
+    @pytest.mark.parametrize("run, message", [("domain_accuracy", "empty subset"),
+                                              ("fit_domain_probe", "empty probe training set")])
+    def test_no_sentences_rejected(self, run, message):
+        with pytest.raises(DataError, match=message):
+            getattr(T, run)(M.init_params(small_config()), [])
+
 
 class TestEvaluate:
     def test_perfect_predictor_scores_one(self):
@@ -617,6 +624,22 @@ class TestInterRegional:
         with pytest.raises(DataError) as err:
             T.inter_regional(splits, tcfg, T.TrainConfig(epochs=1))
         assert "Moldavia" in str(err.value) or "Wallachia" in str(err.value)
+
+    def test_region_without_validation_rejected_before_training(self, monkeypatch):
+        # without validation sentences a model would pick its epoch on the test part
+        from histner.synthetic import RegionalConfig, regional_corpus
+
+        splits = regional_corpus(0, config=RegionalConfig(n_train_per_region=10,
+                                                          n_eval_per_region=4))
+        without = Splits(splits.train, [d for d in splits.valid if d.region != Region.WALLACHIA],
+                         splits.test)
+
+        def fail(*args):
+            raise AssertionError("trained before the parts were checked")
+
+        monkeypatch.setattr(T, "train", fail)
+        with pytest.raises(DataError, match="region Wallachia has no validation sentences"):
+            T.inter_regional(without, M.TaggerConfig(vocab_size=512, seed=0), T.TrainConfig(epochs=1))
 
 
 class TestExportEmbeddings:
