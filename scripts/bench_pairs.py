@@ -36,12 +36,16 @@ def parse_result(stdout: str) -> dict | None:
     return result if isinstance(result, dict) and "metrics" in result else None
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+    """The run's result, or ``None`` and why there is none: the exit code
+    and the last line of stderr."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    return parse_result(proc.stdout) if proc.returncode == 0 else None
+    result = parse_result(proc.stdout) if proc.returncode == 0 else None
+    stderr = proc.stderr.strip().splitlines()
+    return result, f"no result (exit {proc.returncode}: {stderr[-1] if stderr else 'no stderr'})"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -95,10 +99,11 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         pair = {}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, bench["run_seconds"])
+            pair[side], why = run_once(checkouts[side], args.workload, args.seed,
+                                       bench["run_seconds"])
             metrics = pair[side]["metrics"] if pair[side] else {}
             shown = "  ".join(f"{name} {m['value']:.6g}" for name, m in metrics.items())
-            print(f"pair {i} {side}: {shown or 'no result'}", flush=True)
+            print(f"pair {i} {side}: {shown if pair[side] else why}", flush=True)
         pairs.append(pair)
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
           f"seconds {bench['run_seconds']}")

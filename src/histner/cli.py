@@ -166,11 +166,12 @@ def _collect_brat_pairs(root: Path) -> list[tuple[Path, Path]]:
         if not (txt.exists() and ann.exists()):
             raise DataError(f"missing .txt/.ann pair for {root}")
         return [(txt, ann)]
-    pairs = []
-    for txt in sorted(root.rglob("*.txt")):
-        ann = txt.with_suffix(".ann")
-        if ann.exists():
-            pairs.append((txt, ann))
+    texts = sorted(root.rglob("*.txt"))
+    for path in sorted([*texts, *root.rglob("*.ann")]):
+        other = path.with_suffix(".ann" if path.suffix == ".txt" else ".txt")
+        if not other.exists():
+            raise DataError(f"{root}: {path.relative_to(root)} has no {other.suffix} file")
+    pairs = [(txt, txt.with_suffix(".ann")) for txt in texts]
     if not pairs:
         raise DataError(f"no .txt/.ann pairs under {root}")
     return pairs

@@ -10,7 +10,6 @@ heads are linear maps on the same features.
 
 from __future__ import annotations
 
-import bisect
 import json
 import lzma
 import tokenize
@@ -211,12 +210,6 @@ def window_matrix(ids: np.ndarray, window: int, pad_id: int) -> np.ndarray:
 #: The embedding table's key; its gradient is row-sparse.
 EMBED = ("extractor", "embed")
 
-#: A run of at most this many elements is summed by numpy in
-#: ``RowSparse.squared_sum``; longer runs are split as numpy splits them.
-#: It must be at least 128, numpy's own unsplit block. Of 512 to 65536,
-#: 4096 was the fastest for 95 rows of a 2^15 x 64 table (1.1 ms).
-_DENSE_RUN = 4096
-
 
 @dataclass
 class RowSparse:
@@ -234,39 +227,6 @@ class RowSparse:
 
     def scaled(self, factor: float) -> "RowSparse":
         return RowSparse(self.rows, self.values * factor, self.n_rows)
-
-    def squared_sum(self) -> float:
-        """``float((g * g).sum())`` of the dense gradient ``g``, bitwise.
-
-        numpy sums a contiguous array pairwise: a run of more than 128
-        elements is split after its first ``n//2 - (n//2) % 8`` and the two
-        sums are added. This walks the same tree over the flattened table. A
-        run that holds no stored row sums to exactly 0; a short one is
-        summed by numpy itself. That order is numpy's implementation, not a
-        documented contract; it was checked on numpy 2.4.6, and
-        ``TestRowSparse`` fails if an installed numpy sums otherwise.
-        """
-        squares = self.values * self.values
-        return self._run_sum(self.rows.tolist(), squares, 0, self.n_rows * squares.shape[1])
-
-    def _run_sum(self, rows: list[int], squares: np.ndarray, lo: int, hi: int) -> float:
-        # a method, not a nested closure: a closure that calls itself is a
-        # reference cycle, which keeps the gradient alive until the cyclic
-        # garbage collector runs
-        width = squares.shape[1]
-        first = bisect.bisect_left(rows, lo // width)
-        last = bisect.bisect_right(rows, (hi - 1) // width)
-        if first == last:
-            return 0.0
-        if hi - lo <= _DENSE_RUN:
-            top = lo // width
-            block = np.zeros(((hi - 1) // width + 1 - top, width))
-            block[self.rows[first:last] - top] = squares[first:last]
-            return float(block.ravel()[lo - top * width : hi - top * width].sum())
-        half = (hi - lo) // 2
-        half -= half % 8
-        return (self._run_sum(rows, squares, lo, lo + half)
-                + self._run_sum(rows, squares, lo + half, hi))
 
 
 @dataclass

@@ -156,18 +156,25 @@ def compute_losses(
     return LossBreakdown(l_y=float(l_y.value), l_d=float(l_d.value), l_total=float(total.value)), grads
 
 
-def _squared_sum(grad: np.ndarray | m.RowSparse) -> float:
-    return grad.squared_sum() if isinstance(grad, m.RowSparse) else float((grad * grad).sum())
-
-
 def global_grad_norm(grads: Gradients) -> float:
-    return float(np.sqrt(sum(_squared_sum(g) for g in grads.values())))
+    """The global L2 norm; each share is ``float((g * g).sum())`` of the dense
+    gradient, a row-sparse one squared in place in its fresh dense copy."""
+    total = 0.0
+    for g in grads.values():
+        if isinstance(g, m.RowSparse):
+            d = g.dense()
+            d *= d
+        else:
+            d = g * g
+        total += float(d.sum())
+    return float(np.sqrt(total))
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> Gradients:
     """Scale all gradients by max_norm/norm when the global L2 norm
-    exceeds max_norm; otherwise return them unchanged. A row-sparse
-    gradient's norm is taken over its stored rows: the others are 0."""
+    exceeds max_norm; otherwise return them unchanged. The exact norm is
+    that of the dense gradients (see ``global_grad_norm``), so a step that
+    takes it holds one table-sized array for a moment."""
     # the exact norm is taken only when a rough one, summed in another order,
     # is near or above max_norm: two orders of these sums differ by far less
     # than 1e-6 in relative terms, so below that margin clipping cannot fire

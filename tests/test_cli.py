@@ -478,6 +478,14 @@ MALFORMED = {
         _brat_case({f"{region}/a.{ext}": text for region in ("bessarabia", "moldavia")
                     for ext, text in (("txt", "Ion vine.\n"), ("ann", "T1\tPERSON 0 3\tIon\n"))}),
         "bessarabia/a.txt and moldavia/a.txt give one document id 'a'"),
+    "BRAT .txt without its .ann": (
+        _brat_case({"moldavia/a.txt": "Ion vine.\n", "moldavia/a.ann": "T1\tPERSON 0 3\tIon\n",
+                    "moldavia/b.txt": "Ion pleca.\n"}),
+        "moldavia/b.txt has no .ann file"),
+    "BRAT .ann without its .txt": (
+        _brat_case({"moldavia/a.txt": "Ion vine.\n", "moldavia/a.ann": "T1\tPERSON 0 3\tIon\n",
+                    "moldavia/c.ann": "T1\tPERSON 0 3\tIon\n"}),
+        "moldavia/c.ann has no .txt file"),
     "BRAT span runs over a line break": (
         _brat_case({"x.txt": "abc\ndef\n", "x.ann": "T1\tPERSON 2 5\tc\nd\n"},
                    "--region", "Moldavia"),

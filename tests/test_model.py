@@ -1,9 +1,7 @@
 import dataclasses
-import gc
 import json
 import tracemalloc
 import warnings
-import weakref
 import zipfile
 
 import numpy as np
@@ -11,6 +9,7 @@ import pytest
 
 from histner import autodiff as ad
 from histner import model as M
+from histner import training as T
 from histner.corpus import TAG_ALPHABET
 from histner.errors import ConfigError, DataError, NonFiniteError, ShapeError
 
@@ -237,39 +236,40 @@ class TestGatherBoundary:
 
 
 class TestRowSparse:
-    @pytest.mark.parametrize("n_rows,width", [(7, 3), (513, 8), (4097, 6), (32769, 64)])
-    def test_squared_sum_is_numpy_dense_sum_bitwise(self, n_rows, width):
-        # numpy's pairwise summation makes the dense sum depend on where the
-        # rows sit; the row-sparse sum must reproduce it exactly
+    @pytest.mark.parametrize("n_rows", [4097, 32769])
+    @pytest.mark.parametrize("bound_over_norm", [
+        1.01,          # below the margin: the rough norm decides, no clip
+        1 + 1e-7,      # inside the margin, at or under the bound: no clip
+        1 - 1e-7,      # inside the margin, over the bound: clips
+        0.5,           # above the bound: clips
+    ])
+    def test_clip_gradients_scales_as_the_dense_reference(self, n_rows, bound_over_norm):
+        # the reference densifies every gradient and scales all of them by
+        # max_norm / sqrt(sum((g * g).sum())) when that norm exceeds max_norm
         rng = np.random.default_rng(n_rows)
-        for _ in range(20):
-            rows = rng.choice(n_rows, size=int(rng.integers(1, min(n_rows, 150))), replace=False)
-            ends = np.array([0, n_rows - 1][: int(rng.integers(3))], dtype=np.int64)
-            rows = np.unique(np.concatenate([rows, ends]))
-            values = rng.normal(size=(len(rows), width)) * 10.0 ** rng.integers(-6, 3)
-            grad = M.RowSparse(rows, values, n_rows)
-            dense = grad.dense()
-            assert grad.squared_sum() == float((dense * dense).sum()), (
-                f"numpy {np.__version__} sums in another order than the one "
-                "RowSparse.squared_sum copies (checked on numpy 2.4.6)")
+        for _ in range(5):
+            rows = rng.choice(n_rows, size=int(rng.integers(1, 150)), replace=False)
+            rows = np.unique(np.concatenate([rows, [0, n_rows - 1]]))
+            values = rng.normal(size=(len(rows), 64)) * 10.0 ** rng.integers(-6, 3)
+            grads = {M.EMBED: M.RowSparse(rows, values, n_rows),
+                     ("extractor", "w_hidden"): rng.normal(size=(320, 16)),
+                     ("ner_head", "b"): rng.normal(size=11)}
+            dense = {key: g.dense() if isinstance(g, M.RowSparse) else g.copy()
+                     for key, g in grads.items()}
+            norm = float(np.sqrt(sum(float((d * d).sum()) for d in dense.values())))
+            max_norm = norm * bound_over_norm
+            out = T.clip_gradients(grads, max_norm)
+            for key, d in dense.items():
+                given = grads[key].dense() if key == M.EMBED else grads[key]
+                assert np.array_equal(given, d), key  # the caller's gradients are untouched
+                clipped = out[key].dense() if key == M.EMBED else out[key]
+                expected = d * (max_norm / norm) if norm > max_norm else d
+                assert np.array_equal(clipped, expected), key
+            assert (out is not grads) == (norm > max_norm)
 
     def test_empty(self):
         grad = M.RowSparse(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 10)
-        assert grad.squared_sum() == 0.0
         assert not grad.dense().any()
-
-    def test_squared_sum_leaves_no_reference_cycle(self):
-        # without the cyclic collector, the gradient must be freed as soon
-        # as its last reference goes
-        grad = M.RowSparse(np.array([0, 5000]), np.ones((2, 4)), 6000)
-        ref = weakref.ref(grad)
-        gc.disable()
-        try:
-            assert grad.squared_sum() == 8.0
-            del grad
-            assert ref() is None
-        finally:
-            gc.enable()
 
 
 def _scatter_2d(graph):

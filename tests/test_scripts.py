@@ -131,10 +131,15 @@ def _result_line(failed=0, **values):
                        "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}})
 
 
-def test_bench_pairs_summary_of_canned_results():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_of_canned_results():
+    bench_pairs = _bench_pairs()
     end_to_end = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
                   {"name": "tok_s", "better": "higher", "bound": 0.25},
                   {"name": "wall_s", "better": "lower", "bound": 0.25}]
@@ -161,3 +166,17 @@ def test_bench_pairs_summary_of_canned_results():
     assert "1 [1, 1]" in rows["wall_s"] and "1.3 [1.2, 1.3]" in rows["wall_s"]
     assert rows["wall_s"].split()[-3:] == ["1/5", "no", "yes"]
     assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]
+
+
+def test_bench_pairs_says_why_a_run_gave_no_result(tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import sys\nprint('starting', file=sys.stderr)\n"
+        "print('workload w: no such workload', file=sys.stderr)\nsys.exit(2)\n")
+    assert _bench_pairs().main([str(checkout), str(checkout), "--workload", "w",
+                                "--seed", "0", "--pairs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    why = "no result (exit 2: workload w: no such workload)"
+    assert out[:2] == [f"pair 0 parent: {why}", f"pair 0 change: {why}"]
+    assert out[-2:] == ["parent: 1 failed / 1 attempted", "change: 1 failed / 1 attempted"]

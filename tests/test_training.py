@@ -202,6 +202,54 @@ class TestComputeLosses:
         with pytest.raises(ConfigError, match="lambda must be >= 0"):
             T.compute_losses(M.init_params(config), batch, "loss_rev", -0.1)
 
+    @pytest.mark.parametrize("mode", T.MODES)
+    def test_gradients_match_finite_differences(self, mode):
+        # criterion 2's check, at its 1e-4, on the path train() runs: the
+        # gather outside the graph and the row-sparse table gradient. Each
+        # group is checked against the scalar its mode's routing differentiates.
+        lam, eps = 0.1, 1e-5
+        rng = np.random.default_rng(11)
+        config = small_config(seed=2)
+        params = M.init_params(config)
+        batch = random_batch(rng, config)
+        _, grads = dense_losses(params, batch, mode, lam)
+
+        def routed(key):
+            losses, _ = T.compute_losses(params, batch, mode, lam)
+            if mode == "baseline" or (mode == "grad_rev" and key[0] == "ner_head"):
+                return losses.l_y
+            if mode == "grad_rev" and key[0] == "domain_head":
+                return losses.l_d
+            return losses.l_y - lam * losses.l_d
+
+        width = config.embed_dim
+        read = np.unique(np.concatenate([s.windows for s in batch]))
+        unread = np.setdiff1d(np.arange(config.vocab_size + 1), read)
+        coords = []
+        for key, arr in params.items_flat():
+            if key == M.EMBED:
+                rows = [*rng.choice(read, min(8, len(read)), replace=False),
+                        *rng.choice(unread, 8, replace=False)]
+                coords += [(key, int(r) * width + int(rng.integers(width))) for r in rows]
+            else:
+                coords += [(key, int(j)) for j in rng.choice(arr.size, min(8, arr.size),
+                                                             replace=False)]
+        worst = 0.0
+        for key, j in coords:
+            arr = params.groups()[key[0]][key[1]]
+            saved = arr.flat[j]
+            arr.flat[j] = saved + eps
+            f_plus = routed(key)
+            arr.flat[j] = saved - eps
+            f_minus = routed(key)
+            arr.flat[j] = saved
+            fd = (f_plus - f_minus) / (2 * eps)
+            auto = grads[key].flat[j]
+            if key == M.EMBED and j // width in unread:
+                assert auto == 0.0 and fd == 0.0, j // width
+            worst = max(worst, abs(auto - fd) / max(abs(auto), abs(fd), 1e-8))
+        assert worst < 1e-4
+
 
 class TestClipGradients:
     def _grads(self, values):
