@@ -8,7 +8,9 @@ gives each side's median and quartiles, the pairs the change wins, whether
 the change's median is better than the parent's by more than the parent's
 quartile distance (what a claimed gain must show), and whether it is worse
 than the parent's by more than the metric's ``bound``, a fraction of the
-parent's median (what every change must avoid). Failed and attempted
+parent's median (what every change must avoid); that verdict is
+``unresolved`` when the parent's quartile distance is wider than the bound
+and some parent run is not beaten by every change run. Failed and attempted
 operations are counted per side; a run that ends without a result line
 counts as one failed.
 
@@ -72,9 +74,14 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
         cells = [f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in stats.values()]
         wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in values)
         q1, median, q3 = stats["parent"]
-        gain = sign * (stats["change"][1] - median)
+        gain, bound = sign * (stats["change"][1] - median), metric["bound"] * abs(median)
+        # a spread wider than the bound cannot show the change within it, unless
+        # every change run beats every parent run
+        separated = (min(sign * v["change"] for v in values)
+                     > max(sign * v["parent"] for v in values))
         verdicts = ["yes" if gain > q3 - q1 else "no",
-                    "yes" if -gain > metric["bound"] * abs(median) else "no"]
+                    "yes" if -gain > bound else
+                    "unresolved" if q3 - q1 > bound and not separated else "no"]
         lines.append(f"{name:20s} {cells[0]:>36s} {cells[1]:>36s} {wins:>3d}/{len(values):<2d}"
                      f"  {verdicts[0]:>15s}  {verdicts[1]}")
     for side in SIDES:

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, EntityLabel, EntitySpan, Region, format_table
+from .corpus import (Document, EntityLabel, EntitySpan, Region, Sentence, TAG_ALPHABET,
+                     TAG_TO_ID, format_table)
 from .errors import DataError
 
 
@@ -97,33 +98,45 @@ def strict_f1(
     return StrictF1Report.from_counts(span_counts(gold, pred).sum(axis=0))
 
 
+def _tag_ids(
+    tags_a: Sequence[Sequence[str]], tags_b: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two aligned tag lists, checked to hold as many sentences as each
+    other, each as long as its counterpart, flattened into int64 arrays
+    of ids given to the tags in the order they are first seen."""
+    if len(tags_a) != len(tags_b):
+        raise DataError(f"the first tag list has {len(tags_a)} sentences, the second {len(tags_b)}")
+    for i, (a, b) in enumerate(zip(tags_a, tags_b)):
+        if len(a) != len(b):
+            raise DataError(f"sentence {i}: {len(a)} tags vs {len(b)}")
+    ids: dict[str, int] = {}
+    a = np.array([ids.setdefault(t, len(ids)) for s in tags_a for t in s], dtype=np.int64)
+    b = np.array([ids.setdefault(t, len(ids)) for s in tags_b for t in s], dtype=np.int64)
+    return a, b
+
+
 def token_accuracy(
     gold_tags: Sequence[Sequence[str]], pred_tags: Sequence[Sequence[str]]
 ) -> float:
     """Fraction of matching tags over all tokens, O included."""
-    if len(gold_tags) != len(pred_tags):
-        raise DataError(
-            f"gold has {len(gold_tags)} sentences but pred has {len(pred_tags)}"
-        )
-    matched = total = 0
-    for i, (g, p) in enumerate(zip(gold_tags, pred_tags)):
-        if len(g) != len(p):
-            raise DataError(f"sentence {i}: {len(g)} gold tags vs {len(p)} predicted")
-        matched += sum(1 for a, b in zip(g, p) if a == b)
-        total += len(g)
-    if total == 0:
+    gold, pred = _tag_ids(gold_tags, pred_tags)
+    if not len(gold):
         raise DataError("no tokens to score")
-    return matched / total
+    return int((gold == pred).sum()) / len(gold)
 
 
-def _kappa_from_pairs(pairs: list[tuple[str, str]]) -> float:
-    if not pairs:
+def _kappa(a: np.ndarray, b: np.ndarray) -> float:
+    """Cohen's kappa of two aligned int64 tag-id arrays."""
+    n = len(a)
+    if not n:
         raise DataError("empty input to kappa")
-    n = len(pairs)
-    p_o = sum(1 for a, b in pairs if a == b) / n
-    count_a = Counter(a for a, _ in pairs)
-    count_b = Counter(b for _, b in pairs)
-    p_e = sum((count_a[c] / n) * (count_b[c] / n) for c in count_a)
+    p_o = int((a == b).sum()) / n
+    count_a = np.bincount(a).tolist()
+    count_b = np.bincount(b, minlength=len(count_a)).tolist()
+    # the tags in the order they first appear in a, the order a Counter of a
+    # iterates in, so that p_e is summed in the same order, to the same bits
+    seen = a[np.sort(np.unique(a, return_index=True)[1])].tolist()
+    p_e = sum((count_a[c] / n) * (count_b[c] / n) for c in seen)
     if p_e == 1.0:
         if p_o == 1.0:
             return 1.0
@@ -134,21 +147,12 @@ def _kappa_from_pairs(pairs: list[tuple[str, str]]) -> float:
 def cohens_kappa(
     tags_a: Sequence[Sequence[str]], tags_b: Sequence[Sequence[str]]
 ) -> float:
-    """Token-level kappa over the IOB2 tag alphabet.
+    """Token-level kappa over aligned tag lists; the tags may be any strings.
 
     kappa = (p_o - p_e) / (1 - p_e), with p_e from the two annotators'
     per-tag marginal distributions.
     """
-    if len(tags_a) != len(tags_b):
-        raise DataError(
-            f"annotator A has {len(tags_a)} sentences, annotator B {len(tags_b)}"
-        )
-    pairs: list[tuple[str, str]] = []
-    for i, (a, b) in enumerate(zip(tags_a, tags_b)):
-        if len(a) != len(b):
-            raise DataError(f"sentence {i}: length {len(a)} vs {len(b)}")
-        pairs.extend(zip(a, b))
-    return _kappa_from_pairs(pairs)
+    return _kappa(*_tag_ids(tags_a, tags_b))
 
 
 # ---------------------------------------------------------------------------
@@ -188,60 +192,62 @@ class AgreementReport:
         return format_table(["group", "kappa", "pairwise_f1"], table)
 
 
-def _project_tags(tags: Sequence[str], label: EntityLabel) -> list[str]:
-    keep = {"B-" + label.name, "I-" + label.name}
-    return [t if t in keep else "O" for t in tags]
+#: Per label, the tag-id map that keeps that label's B- and I- ids and
+#: sends every other id to O's id 0.
+_LABEL_PROJECTION = {
+    label: np.array([i if tag[2:] == label.name else 0 for i, tag in enumerate(TAG_ALPHABET)])
+    for label in EntityLabel
+}
 
 
 def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> AgreementReport:
     """Agreement between two annotation layers over the same documents,
-    annotator A taken as reference for the pairwise F1."""
+    annotator A taken as reference for the pairwise F1. The layers must
+    match sentence by sentence in token text, region and tag count."""
     if len(ann_a) != len(ann_b):
         raise DataError("annotation layers have different document counts")
-    docs_a = sorted(ann_a, key=lambda d: d.id)
-    docs_b = sorted(ann_b, key=lambda d: d.id)
-    tags_a: list[list[str]] = []
-    tags_b: list[list[str]] = []
-    spans_a: list[list[EntitySpan]] = []
-    spans_b: list[list[EntitySpan]] = []
-    regions: list[Region] = []
-    for da, db in zip(docs_a, docs_b):
+    sents_a: list[Sentence] = []
+    sents_b: list[Sentence] = []
+    for da, db in zip(sorted(ann_a, key=lambda d: d.id), sorted(ann_b, key=lambda d: d.id)):
         if da.id != db.id:
             raise DataError(f"document id mismatch: {da.id!r} vs {db.id!r}")
         if len(da.sentences) != len(db.sentences):
             raise DataError(f"document {da.id!r}: sentence counts differ")
-        for sa, sb in zip(da.sentences, db.sentences):
-            if len(sa.tokens) != len(sb.tokens):
-                raise DataError(f"document {da.id!r}: tokenization differs")
-            tags_a.append(list(sa.tags))
-            tags_b.append(list(sb.tags))
-            spans_a.append(sa.spans)
-            spans_b.append(sb.spans)
-            regions.append(sa.region)
+        for i, (sa, sb) in enumerate(zip(da.sentences, db.sentences)):
+            if (sa.tokens, sa.region, len(sa.tags)) != (sb.tokens, sb.region, len(sb.tags)):
+                raise DataError(
+                    f"document {da.id!r}, sentence {i}: token text, region or tag count differs")
+        sents_a += da.sentences
+        sents_b += db.sentences
 
-    counts = span_counts(spans_a, spans_b)
+    # decoding before the id lookup keeps decode_iob's TagError for a tag
+    # outside the alphabet
+    counts = span_counts([s.spans for s in sents_a], [s.spans for s in sents_b])
+    a, b = (np.array([TAG_TO_ID[t] for s in sents for t in s.tags], dtype=np.int64)
+            for sents in (sents_a, sents_b))
+    regions = np.array([s.region for s in sents_a], dtype=np.int64)
+    token_regions = np.repeat(regions, np.array([len(s.tags) for s in sents_a], dtype=np.int64))
     f1 = StrictF1Report.from_counts(counts.sum(axis=0))
-    overall = AgreementCell(kappa=cohens_kappa(tags_a, tags_b), pairwise_f1=f1.overall)
+    overall = AgreementCell(kappa=_kappa(a, b), pairwise_f1=f1.overall)
 
     per_region: dict[Region, AgreementCell] = {}
     for region in Region:
-        idx = [i for i, r in enumerate(regions) if r == region]
-        if not idx:
+        in_region = regions == region
+        if not in_region.any():
             continue
+        tokens = token_regions == region
         per_region[region] = AgreementCell(
-            kappa=cohens_kappa([tags_a[i] for i in idx], [tags_b[i] for i in idx]),
-            pairwise_f1=StrictF1Report.from_counts(counts[idx].sum(axis=0)).overall,
+            kappa=_kappa(a[tokens], b[tokens]),
+            pairwise_f1=StrictF1Report.from_counts(counts[in_region].sum(axis=0)).overall,
         )
 
     # a label's pairwise F1 is strict F1 on that label's spans only
     per_label = {
         label: AgreementCell(
-            kappa=cohens_kappa([_project_tags(t, label) for t in tags_a],
-                               [_project_tags(t, label) for t in tags_b]),
+            kappa=_kappa(_LABEL_PROJECTION[label][a], _LABEL_PROJECTION[label][b]),
             pairwise_f1=f1.per_label[label],
         )
         for label in EntityLabel
     }
 
     return AgreementReport(overall=overall, per_region=per_region, per_label=per_label)
-

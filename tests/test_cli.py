@@ -332,11 +332,16 @@ def _flag_entry(entry: int, method: int, first_byte: int | None = None):
     return _checkpoint_case(write)
 
 
-def _iaa_case(tmp_path, corpus_file):
-    path = tmp_path / "layer_b.jsonl"
-    lines = corpus_file.read_text().splitlines()
-    path.write_text("\n".join([lines[0], "[1, 2]", *lines[2:]]) + "\n")
-    return ["iaa", "--input", corpus_file, "--input-b", path]
+def _iaa_case(rewrite):
+    """An ``iaa`` run of the corpus against a second layer that is the
+    corpus with its second record replaced by ``rewrite(record)``."""
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "layer_b.jsonl"
+        lines = corpus_file.read_text().splitlines()
+        lines[1] = json.dumps(rewrite(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        return ["iaa", "--input", corpus_file, "--input-b", path]
+    return build
 
 
 def _config_case(payload):
@@ -419,7 +424,13 @@ MALFORMED = {
     "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
     "test split has an empty sentence": (
         _empty_sentence_test_case, "with_empty.jsonl: empty[0]: sentence has no tokens"),
-    "second iaa layer has a bad record": (_iaa_case, "layer_b.jsonl: line 2"),
+    "second iaa layer has a bad record": (_iaa_case(lambda r: [1, 2]), "layer_b.jsonl: line 2"),
+    "iaa layers differ in token text": (
+        _iaa_case(lambda r: {**r, "tokens": [t + "x" for t in r["tokens"]]}),
+        "document 'separable-000', sentence 1: token text, region or tag count differs"),
+    "iaa layers differ in region": (
+        _iaa_case(lambda r: {**r, "region": "Wallachia"}),
+        "document 'separable-000', sentence 1: token text, region or tag count differs"),
     "checkpoint is not an npz": (
         _checkpoint_case(lambda p: p.write_text("not a checkpoint\n")), "bad.npz"),
     "checkpoint metadata unreadable": (

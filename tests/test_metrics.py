@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,25 @@ def test_misaligned_tag_lists_rejected(score, a, b, message):
         score(a, b)
 
 
+def _reference_kappa(tags_a, tags_b):
+    """Cohen's kappa of two flat tag lists, with p_e summed over a Counter
+    of A's tags, in the order it iterates."""
+    n = len(tags_a)
+    p_o = sum(1 for a, b in zip(tags_a, tags_b) if a == b) / n
+    count_a, count_b = Counter(tags_a), Counter(tags_b)
+    p_e = sum((count_a[c] / n) * (count_b[c] / n) for c in count_a)
+    return 1.0 if p_e == 1.0 == p_o else (p_o - p_e) / (1 - p_e)
+
+
+@st.composite
+def aligned_tag_lists(draw):
+    """Two lists of one to four sentences of equal lengths, tags drawn from
+    the alphabet and from strings outside it."""
+    tags = st.sampled_from(TAG_ALPHABET + ("X", "b-person", "B-PERSON "))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    return tuple([draw(st.lists(tags, min_size=n, max_size=n)) for n in lengths] for _ in "ab")
+
+
 class TestCohensKappa:
     def test_identical_nonconstant(self):
         tags = [["O", "B-DATE", "O", "B-PERSON"]]
@@ -243,6 +264,13 @@ class TestCohensKappa:
     def test_self_agreement_is_one(self, tags):
         assert cohens_kappa([tags], [tags]) == 1.0
 
+    @given(aligned_tag_lists())
+    @settings(max_examples=150)
+    def test_equals_counter_reference(self, lists):
+        a, b = lists
+        assert cohens_kappa(a, b) == _reference_kappa(
+            [t for s in a for t in s], [t for s in b for t in s])
+
 
 def _two_layer_docs():
     # layer B disagrees with A only on PRODUCT spans
@@ -283,6 +311,25 @@ def _reference_iaa_f1(layer_a, layer_b):
     return per_region, per_label
 
 
+def _reference_iaa_kappa(layer_a, layer_b):
+    """Kappa overall, by region and by label, each from the Counter-based
+    reference on that group's tokens, a label's tags projected to it and O."""
+    sents_a = [s for d in layer_a for s in d.sentences]
+    sents_b = [s for d in layer_b for s in d.sentences]
+
+    def kappa(keep=lambda s: True, project=lambda t: t):
+        return _reference_kappa(*([project(t) for s in sents if keep(s) for t in s.tags]
+                                  for sents in (sents_a, sents_b)))
+
+    return (
+        kappa(),
+        {region: kappa(keep=lambda s: s.region == region)
+         for region in Region if any(s.region == region for s in sents_a)},
+        {label: kappa(project=lambda t: t if t in ("B-" + label.name, "I-" + label.name) else "O")
+         for label in EntityLabel},
+    )
+
+
 @st.composite
 def annotation_layers(draw):
     """Two annotation layers over the same tokens, documents in id order:
@@ -314,6 +361,15 @@ class TestIaaReport:
         assert report.overall.pairwise_f1 == strict_f1(
             *([s.spans for d in layer for s in d.sentences] for layer in layers)).overall
 
+    @given(annotation_layers())
+    @settings(max_examples=100, deadline=None)
+    def test_kappa_equals_counter_reference_per_group(self, layers):
+        report = iaa_report(*layers)
+        overall, per_region, per_label = _reference_iaa_kappa(*layers)
+        assert report.overall.kappa == overall
+        assert {r: c.kappa for r, c in report.per_region.items()} == per_region
+        assert {l: c.kappa for l, c in report.per_label.items()} == per_label
+
     def test_identical_layers(self, tiny_corpus):
         report = iaa_report(tiny_corpus, tiny_corpus)
         assert report.overall.kappa == 1.0
@@ -342,6 +398,26 @@ class TestIaaReport:
         a = [make_doc("d", [make_sentence(["a", "b"], ["O", "O"])])]
         b = [make_doc("d", [make_sentence(["ab"], ["O"])])]
         with pytest.raises(DataError):
+            iaa_report(a, b)
+        # as many tokens, but other words
+        tags = ["B-PERSON", "O"]
+        a = [make_doc("d", [make_sentence(["anul", "1900"], ["O", "B-DATE"]),
+                            make_sentence(["Ion", "merge"], tags, Region.MOLDAVIA)])]
+        b = [make_doc("d", [make_sentence(["anul", "1900"], ["O", "B-DATE"]),
+                            make_sentence(["Iasi", "azi"], tags, Region.MOLDAVIA)])]
+        with pytest.raises(DataError, match="document 'd', sentence 1: token text"):
+            iaa_report(a, b)
+        # the same tokens, but a tag fewer
+        b = [make_doc("d", [make_sentence(["anul", "1900"], ["O", "B-DATE"]),
+                            make_sentence(["Ion", "merge"], ["B-PERSON"], Region.MOLDAVIA)])]
+        with pytest.raises(DataError, match="document 'd', sentence 1: token text, region or tag"):
+            iaa_report(a, b)
+
+    def test_region_mismatch(self):
+        tokens, tags = ["Ion", "merge"], ["B-PERSON", "O"]
+        a = [make_doc("d", [make_sentence(tokens, tags, Region.MOLDAVIA)])]
+        b = [make_doc("d", [make_sentence(tokens, tags, Region.WALLACHIA)])]
+        with pytest.raises(DataError, match="document 'd', sentence 0: token text, region"):
             iaa_report(a, b)
 
     def test_agreement_ordering_tracks_disagreement_rates(self):

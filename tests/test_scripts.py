@@ -168,6 +168,24 @@ def test_bench_pairs_summary_of_canned_results():
     assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]
 
 
+def test_bench_pairs_calls_a_bound_unresolved_when_the_parent_spread_exceeds_it():
+    bench_pairs = _bench_pairs()
+    end_to_end = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    # parent median 0.17 with quartiles 0.15 and 0.21: a spread of 0.06, wider
+    # than the bound, 0.25 * 0.17
+    parent = [0.15, 0.21, 0.17, 0.15, 0.21]
+    verdicts = {}
+    for case, change in {"level": [0.16, 0.18, 0.17, 0.19, 0.14],
+                         "every run better": [0.10, 0.11, 0.12, 0.13, 0.14],
+                         "worse by > bound": [0.30, 0.30, 0.30, 0.30, 0.30]}.items():
+        pairs = [{"parent": json.loads(_result_line(setup_s=p)),
+                  "change": json.loads(_result_line(setup_s=c))} for p, c in zip(parent, change)]
+        row = bench_pairs.summarize(pairs, end_to_end)[1]
+        assert "0.17 [0.15, 0.21]" in row
+        verdicts[case] = row.split()[-1]
+    assert verdicts == {"level": "unresolved", "every run better": "no", "worse by > bound": "yes"}
+
+
 def test_bench_pairs_says_why_a_run_gave_no_result(tmp_path, capsys):
     checkout = tmp_path / "checkout"
     (checkout / "perfbench").mkdir(parents=True)
