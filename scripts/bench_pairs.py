@@ -12,16 +12,20 @@ parent's median (what every change must avoid); that verdict is
 ``unresolved`` when the parent's quartile distance is wider than the bound
 and some parent run is not beaten by every change run. Failed and attempted
 operations are counted per side; a run that ends without a result line
-counts as one failed.
+counts as one failed. Every run gets its own empty bytecode cache
+(``PYTHONPYCACHEPREFIX``), so neither side reads modules a checkout's
+``__pycache__`` holds and both compile alike.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,11 +44,14 @@ def parse_result(stdout: str) -> dict | None:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
     """The run's result, or ``None`` and why there is none: the exit code
-    and the last line of stderr."""
-    proc = subprocess.run(
-        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+    and the last line of stderr. The run compiles into a fresh bytecode
+    cache that is removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     result = parse_result(proc.stdout) if proc.returncode == 0 else None
     stderr = proc.stderr.strip().splitlines()
     return result, f"no result (exit {proc.returncode}: {stderr[-1] if stderr else 'no stderr'})"

@@ -21,7 +21,6 @@ from .corpus import (
     corpus_stats,
     decode_iob,
     encode_iob,
-    export_conll,
     load_histnero,
     load_jsonl,
     parse_brat,

@@ -7,7 +7,7 @@ discarded; there is no persistent tape.
 
 A gradient is made at its first contribution and later ones are added out
 of place, so nodes may share a gradient array and none is written after it
-is set; an op that must scatter in place scatters into a copy.
+is set.
 """
 
 from __future__ import annotations
@@ -167,18 +167,6 @@ def tanh(x: Node) -> Node:
     return Node(out_value, (x,), bw, "tanh")
 
 
-def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
-    if not nodes:
-        raise ShapeError("concat: no inputs")
-    bounds = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
-
-    def bw(g):
-        for node, part in zip(nodes, np.split(g, bounds, axis=axis)):
-            _accumulate(node, part)
-
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes), bw, "concat")
-
-
 def mean(x: Node) -> Node:
     size = x.value.size
     if size == 0:
@@ -188,31 +176,6 @@ def mean(x: Node) -> Node:
         _accumulate(x, np.full_like(x.value, g / size))
 
     return Node(x.value.mean(), (x,), bw, "mean")
-
-
-def sum_(x: Node) -> Node:
-    def bw(g):
-        _accumulate(x, np.full_like(x.value, g))
-
-    return Node(x.value.sum(), (x,), bw, "sum")
-
-
-def embedding_lookup(table: Node, ids) -> Node:
-    ids = np.asarray(ids, dtype=np.int64)
-    _require_2d(table, "embedding_lookup")
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding_lookup: ids must be 1-D, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding_lookup: id outside table with {table.shape[0]} rows"
-        )
-
-    def bw(g):
-        # scattered in place, so into an array of its own
-        table.grad = np.zeros_like(table.value) if table.grad is None else table.grad.copy()
-        np.add.at(table.grad, ids, g)
-
-    return Node(table.value[ids], (table,), bw, "embedding_lookup")
 
 
 def softmax_cross_entropy(logits: Node, targets) -> Node:

@@ -121,9 +121,12 @@ def _split_corpus(args, docs: corpus.Corpus) -> corpus.Splits:
 
 
 def _load_for_model(path: str) -> corpus.Corpus:
-    """A JSONL corpus that the model can encode; its first violation is a
-    ``DataError`` naming the file, raised before anything is split or written."""
+    """A JSONL corpus that the model can encode; an empty corpus or its
+    first violation is a ``DataError`` naming the file, raised before
+    anything is split or written."""
     docs = corpus.load_jsonl(path)
+    if not docs:
+        raise DataError(f"{path}: no sentences")
     violations = corpus.validate_corpus(docs)
     if violations:
         raise DataError(f"{path}: {violations[0]}")
@@ -286,9 +289,8 @@ def cmd_crossregion(args) -> int:
 def cmd_export_embeddings(args) -> int:
     docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
-    sentences = _sentences(docs)
-    _publish(args,
-             {"embeddings.tsv": lambda path: training.export_embeddings(params, sentences, path)},
+    tsv = training.dumps_embeddings(params, _sentences(docs))
+    _publish(args, {"embeddings.tsv": tsv},
              {"input": args.input, "checkpoint": args.checkpoint}, _inputs(args))
     print(f"wrote {Path(args.out) / 'embeddings.tsv'}")
     return 0

@@ -332,17 +332,6 @@ def decode_iob(tags: Sequence[str]) -> list[EntitySpan]:
     return spans
 
 
-def is_valid_iob(tags: Sequence[str]) -> bool:
-    prev = "O"
-    for tag in tags:
-        if tag not in TAG_TO_ID:
-            return False
-        if tag.startswith("I-") and prev != "B-" + tag[2:] and prev != tag:
-            return False
-        prev = tag
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -759,10 +748,6 @@ def dumps_conll(corpus: Corpus) -> str:
                 out.append(f"{token}\t{tag}\n")
             out.append("\n")
     return "".join(out)
-
-
-def export_conll(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(dumps_conll(corpus), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -633,9 +633,7 @@ def inter_regional(
     return InterRegionalResult(regions=regions, matrix=matrix)
 
 
-def export_embeddings(
-    params: m.TaggerParams, sentences: Sequence[Sentence], path: str | Path
-) -> None:
+def dumps_embeddings(params: m.TaggerParams, sentences: Sequence[Sentence]) -> str:
     """One TSV row per sentence: region name, then the mean feature vector
     over its tokens at six decimal places."""
     row = "\t".join(["%.6f"] * params.config.hidden_dim)
@@ -644,5 +642,11 @@ def export_embeddings(
         return "".join(f"{Region(enc.region_id).display}\t{row % tuple(h.mean(axis=0).tolist())}\n"
                        for enc, h in zip(group, _per_sentence(graph.features.value, group)))
 
-    chunks = _forward_chunks(params, encode_sentences(sentences, params.config), reduce)
-    Path(path).write_text("".join(chunks), encoding="utf-8")
+    return "".join(_forward_chunks(params, encode_sentences(sentences, params.config), reduce))
+
+
+def export_embeddings(
+    params: m.TaggerParams, sentences: Sequence[Sentence], path: str | Path
+) -> None:
+    """``dumps_embeddings`` written to ``path``."""
+    Path(path).write_text(dumps_embeddings(params, sentences), encoding="utf-8")

@@ -401,6 +401,30 @@ def _brat_case(files: dict[str, str], *flags):
     return build
 
 
+def _save_small_params(path):
+    init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16)).save(path)
+
+
+def _overflowing_params(path):
+    """A checkpoint whose embeddings and hidden weights are all 1e300:
+    finite, so it loads, but the feature layer's matmul overflows."""
+    params = init_params(TaggerConfig(vocab_size=512, embed_dim=8, hidden_dim=16))
+    params.extractor["embed"][:] = 1e300
+    params.extractor["w_hidden"][:] = 1e300
+    params.save(path)
+
+
+def _model_case(command, records, write=_save_small_params):
+    """A ``command`` run on a JSONL file holding ``records``, with the
+    checkpoint that ``write`` saves."""
+    def build(tmp_path, corpus_file):
+        path, checkpoint = tmp_path / "records.jsonl", tmp_path / "model.npz"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        write(checkpoint)
+        return [command, "--input", path, "--checkpoint", checkpoint, "--out", tmp_path / "o"]
+    return build
+
+
 def _non_utf8_corpus_case(tmp_path, corpus_file):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b"\xff" + corpus_file.read_bytes())
@@ -453,6 +477,12 @@ MALFORMED = {
         _param_case(_with_value(np.nan)), "bad.npz: parameter extractor.embed"),
     "checkpoint NER weights hold an infinity": (
         _param_case(_with_value(np.inf), "ner_head.w"), "bad.npz: parameter ner_head.w"),
+    "checkpoint overflows the forward": (
+        _model_case("export-embeddings", [_RECORD], _overflowing_params),
+        "op 'matmul' produced non-finite values"),
+    "eval corpus is empty": (_model_case("eval", []), "records.jsonl: no sentences"),
+    "export-embeddings corpus is empty": (
+        _model_case("export-embeddings", []), "records.jsonl: no sentences"),
     "unknown tagger config key": (
         _config_case({"tagger": {"vocab_sz": 512}}), "vocab_sz"),
     "unknown train config key": (

@@ -22,7 +22,6 @@ from histner.corpus import (
     dumps_conll,
     dumps_jsonl,
     encode_iob,
-    is_valid_iob,
     loads_jsonl,
     parse_brat,
     split_dataset,
@@ -40,6 +39,7 @@ from histner.errors import (
 )
 
 from conftest import make_doc, make_sentence
+from reference_ops import is_valid_iob
 
 
 # ---------------------------------------------------------------------------

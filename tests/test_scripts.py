@@ -198,3 +198,19 @@ def test_bench_pairs_says_why_a_run_gave_no_result(tmp_path, capsys):
     why = "no result (exit 2: workload w: no such workload)"
     assert out[:2] == [f"pair 0 parent: {why}", f"pair 0 change: {why}"]
     assert out[-2:] == ["parent: 1 failed / 1 attempted", "change: 1 failed / 1 attempted"]
+
+
+def test_bench_pairs_gives_every_run_a_fresh_bytecode_cache(tmp_path):
+    checkouts = [tmp_path / side for side in ("parent", "change")]
+    for checkout in checkouts:
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "print(json.dumps({'metrics': {}, 'prefix': sys.pycache_prefix}))\n")
+    bench_pairs = _bench_pairs()
+    results = [bench_pairs.run_once(checkout, "w", 0, 0)[0] for checkout in checkouts * 2]
+    prefixes = [Path(result["prefix"]) for result in results]
+    assert len(set(prefixes)) == len(results)
+    for prefix in prefixes:
+        assert not prefix.exists()
+        assert not any(prefix.is_relative_to(checkout) for checkout in checkouts)

@@ -3,7 +3,6 @@ import numpy as np
 from histner.corpus import (
     Region,
     dumps_jsonl,
-    is_valid_iob,
     iter_sentences,
     validate_corpus,
 )
@@ -16,6 +15,8 @@ from histner.synthetic import (
     separable_corpus,
     two_domain_corpus,
 )
+
+from reference_ops import is_valid_iob
 
 
 def all_sentences(splits):

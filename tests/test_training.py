@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
 from histner.corpus import (
@@ -32,6 +31,7 @@ from histner.synthetic import (
     two_domain_corpus,
 )
 
+import reference_ops as ad
 from conftest import dense_losses, make_sentence
 
 SMALL = dict(vocab_size=512, embed_dim=8, hidden_dim=16, context_window=2)
