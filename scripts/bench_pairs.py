@@ -12,9 +12,12 @@ parent's median (what every change must avoid); that verdict is
 ``unresolved`` when the parent's quartile distance is wider than the bound
 and some parent run is not beaten by every change run. Failed and attempted
 operations are counted per side; a run that ends without a result line
-counts as one failed. Every run gets its own empty bytecode cache
-(``PYTHONPYCACHEPREFIX``), so neither side reads modules a checkout's
-``__pycache__`` holds and both compile alike.
+counts as one failed. Each side gets one empty bytecode cache
+(``PYTHONPYCACHEPREFIX``) for the whole invocation, so neither side reads
+modules a checkout's ``__pycache__`` holds, and one untimed warm-up run per
+side, before the pairs, compiles what that side imports; every timed run
+then reads compiled modules, as a run on installed bytecode does. The
+caches are removed at the end.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 """
@@ -42,16 +45,17 @@ def parse_result(stdout: str) -> dict | None:
     return result if isinstance(result, dict) and "metrics" in result else None
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             cache: Path) -> tuple[dict | None, str]:
     """The run's result, or ``None`` and why there is none: the exit code
-    and the last line of stderr. The run compiles into a fresh bytecode
-    cache that is removed afterwards."""
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        proc = subprocess.run(
-            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-            cwd=checkout, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
+    and the last line of stderr. The run reads and writes bytecode in
+    ``cache`` only."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, env=env)
     result = parse_result(proc.stdout) if proc.returncode == 0 else None
     stderr = proc.stderr.strip().splitlines()
     return result, f"no result (exit {proc.returncode}: {stderr[-1] if stderr else 'no stderr'})"
@@ -110,15 +114,19 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
-    for i in range(args.pairs):
-        pair = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            pair[side], why = run_once(checkouts[side], args.workload, args.seed,
-                                       bench["run_seconds"])
-            metrics = pair[side]["metrics"] if pair[side] else {}
-            shown = "  ".join(f"{name} {m['value']:.6g}" for name, m in metrics.items())
-            print(f"pair {i} {side}: {shown if pair[side] else why}", flush=True)
-        pairs.append(pair)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as tmp:
+        caches = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:  # untimed: it fills the side's cache and counts in no pair
+            run_once(checkouts[side], args.workload, args.seed, 0, caches[side])
+        for i in range(args.pairs):
+            pair = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                pair[side], why = run_once(checkouts[side], args.workload, args.seed,
+                                           bench["run_seconds"], caches[side])
+                metrics = pair[side]["metrics"] if pair[side] else {}
+                shown = "  ".join(f"{name} {m['value']:.6g}" for name, m in metrics.items())
+                print(f"pair {i} {side}: {shown if pair[side] else why}", flush=True)
+            pairs.append(pair)
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
           f"seconds {bench['run_seconds']}")
     print("\n".join(summarize(pairs, bench["end_to_end"])))

@@ -191,8 +191,12 @@ def cmd_convert(args) -> int:
             by_id[txt.stem] = txt
             inputs.extend([txt, ann])
             region = corpus.Region.parse(args.region or txt.parent.name)
-            docs.append(corpus.document_from_brat(
-                txt.stem, region, corpus.read_text(txt), corpus.read_text(ann)))
+            text, annotations = corpus.read_text(txt), corpus.read_text(ann)
+            try:
+                docs.append(corpus.document_from_brat(txt.stem, region, text, annotations))
+            except HistnerError as exc:
+                where = ann.relative_to(root if root.is_dir() else root.parent)
+                raise DataError(f"{where}: {exc}") from exc
         docs.sort(key=lambda d: d.id)
     else:
         docs, inputs = corpus.load_jsonl(args.input), _inputs(args)

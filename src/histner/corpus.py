@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -231,26 +232,13 @@ def parse_brat(text_content: str, ann_content: str) -> list[RawSpan]:
 # Tokenization and alignment
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"[^\W_]+|\S")
+
+
 def tokenize(text: str) -> list[Token]:
     """Deterministic rule tokenizer: maximal alphanumeric runs, every other
     non-space character is its own token. Offsets index into ``text``."""
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalnum():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(Token(text[i:j], i, j))
-            i = j
-        else:
-            tokens.append(Token(ch, i, i + 1))
-            i += 1
-    return tokens
+    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
 def span_conflicts(spans: Sequence[EntitySpan]) -> list[str]:
@@ -384,10 +372,10 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
                        ann_content: str) -> Document:
     """Build a Document from a .txt/.ann pair.
 
-    Sentences are the non-empty lines of the text file; a span crossing a
-    line boundary is an alignment error, raised by ``parse_brat``: a surface
-    read from one line of the ``.ann`` file cannot match a slice holding a
-    newline.
+    Sentences are the non-empty lines of the text file. A span on a blank
+    line covers no token, an alignment error; so is a span crossing a line
+    boundary, raised by ``parse_brat``: a surface read from one line of the
+    ``.ann`` file cannot match a slice holding a newline.
     """
     raw_spans = parse_brat(text_content, ann_content)
     sentences: list[Sentence] = []
@@ -395,8 +383,6 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
     for line in text_content.split("\n"):
         line_start, line_end = offset, offset + len(line)
         offset = line_end + 1
-        if not line.strip():
-            continue
         local = [
             s for s in raw_spans
             if s.start < line_end and s.end > line_start
@@ -406,8 +392,9 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
             for t in tokenize(line)
         ]
         spans = align_spans(tokens, local)
-        tags = encode_iob(spans, len(tokens))
-        sentences.append(Sentence(tokens=[t.text for t in tokens], tags=tags, region=region))
+        if tokens:
+            tags = encode_iob(spans, len(tokens))
+            sentences.append(Sentence(tokens=[t.text for t in tokens], tags=tags, region=region))
     return Document(id=doc_id, region=region, sentences=sentences)
 
 

@@ -389,14 +389,15 @@ def _empty_sentence_test_case(tmp_path, corpus_file):
             "--out", tmp_path / "o"]
 
 
-def _brat_case(files: dict[str, str], *flags):
-    """A BRAT ``convert`` run on a directory holding ``files``."""
+def _brat_case(files: dict[str, str], *flags, file=""):
+    """A BRAT ``convert`` run on a directory holding ``files``, or on the
+    one of them that ``file`` names."""
     def build(tmp_path, corpus_file):
         root = tmp_path / "brat"
         for name, text in files.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_text(text, encoding="utf-8")
-        return ["convert", "--from", "brat", "--to", "jsonl", "--input", root, *flags,
+        return ["convert", "--from", "brat", "--to", "jsonl", "--input", root / file, *flags,
                 "--out", tmp_path / "o"]
     return build
 
@@ -530,7 +531,22 @@ MALFORMED = {
     "BRAT span runs over a line break": (
         _brat_case({"x.txt": "abc\ndef\n", "x.ann": "T1\tPERSON 2 5\tc\nd\n"},
                    "--region", "Moldavia"),
-        "does not match text slice 'c\\nd'"),
+        "error: x.ann: line 1: surface 'c' does not match text slice 'c\\nd'"),
+    "BRAT span on a blank line": (
+        _brat_case({"x.txt": "Ion vine\n \nla Iasi\n",
+                    "x.ann": "T1\tPERSON 0 3\tIon\nT2\tDATE 9 10\t \n"},
+                   "--region", "Moldavia"),
+        "error: x.ann: span [9, 10) ' ' covers no token"),
+    "BRAT annotation line has two fields": (
+        _brat_case({"moldavia/a.txt": "Ion vine.\n", "moldavia/a.ann": "T1\tPERSON 0 3\tIon\n",
+                    "moldavia/b.txt": "Ion pleca.\n", "moldavia/b.ann": "T1\tPERSON\n"}),
+        "error: moldavia/b.ann: line 1: expected 'ID<TAB>LABEL START END<TAB>SURFACE', "
+        "got 2 fields"),
+    "BRAT file input has a bad annotation": (
+        _brat_case({"x.txt": "Ion vine.\n",
+                    "x.ann": "T1\tPERSON 0 3\tIon\nT2\tPLACE 4 8\tvine\n"},
+                   "--region", "Moldavia", file="x.txt"),
+        "error: x.ann: line 2: unknown entity label 'PLACE'"),
     "corpus is not UTF-8": (_non_utf8_corpus_case, "latin1.jsonl: not UTF-8"),
     "config file is not UTF-8": (_config_case(b'\xff{"train": {}}'), "bad_config.json: not UTF-8"),
     "config file is invalid JSON": (_config_case(b'{"train": '), "bad_config.json: invalid JSON"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -118,6 +119,39 @@ class TestTokenize:
         tokens = tokenize(text)
         for a, b in zip(tokens, tokens[1:]):
             assert a.end <= b.start
+
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_matches_its_definition(self, text):
+        tokens = [(t.text, t.start, t.end) for t in tokenize(text)]
+        assert tokens == _defined_tokens(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a_b", [("a", 0, 1), ("_", 1, 2), ("b", 2, 3)]),
+        ("x\u00b2\u0663", [("x\u00b2\u0663", 0, 3)]),
+        # a combining mark is not alphanumeric, so it stands alone
+        ("s\u0326a", [("s", 0, 1), ("\u0326", 1, 2), ("a", 2, 3)]),
+        ("a\tb\r\nc\u00a0d", [("a", 0, 1), ("b", 2, 3), ("c", 5, 6), ("d", 7, 8)]),
+    ], ids=["underscore", "superscript and Arabic-Indic digits", "combining mark",
+            "tab, CRLF and no-break space"])
+    def test_character_classes(self, text, expected):
+        assert [(t.text, t.start, t.end) for t in tokenize(text)] == expected
+
+
+def _defined_tokens(text):
+    """The tokenizer's docstring as code: maximal ``str.isalnum`` runs, and
+    every other character that is not ``str.isspace`` on its own, each with
+    the offsets that slice it out of ``text``."""
+    def kind(item):
+        i, ch = item
+        return "alnum" if ch.isalnum() else "space" if ch.isspace() else i
+    tokens = []
+    for key, group in itertools.groupby(enumerate(text), kind):
+        if key != "space":
+            positions = [i for i, _ in group]
+            start, end = positions[0], positions[-1] + 1
+            tokens.append((text[start:end], start, end))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +597,18 @@ class TestBratDocument:
         ann = "T1\tPERSON 2 5\tc\nd"
         with pytest.raises((AlignmentError, BratParseError)):
             C.document_from_brat("d", Region.MOLDAVIA, text, ann)
+
+    def test_span_on_blank_line_rejected(self):
+        text = "Ion vine\n \nla Iasi\n"
+        ann = "T1\tPERSON 0 3\tIon\nT2\tDATE 9 10\t "
+        with pytest.raises(AlignmentError, match=r"span \[9, 10\) ' ' covers no token"):
+            C.document_from_brat("d", Region.MOLDAVIA, text, ann)
+
+    def test_blank_lines_without_spans_skipped(self):
+        text = "Ion vine\r\n \t\r\n\n\u00a0\nla Iasi\n"
+        doc = C.document_from_brat("d", Region.MOLDAVIA, text, "T1\tPERSON 0 3\tIon")
+        assert [s.tokens for s in doc.sentences] == [["Ion", "vine"], ["la", "Iasi"]]
+        assert [s.tags for s in doc.sentences] == [["B-PERSON", "O"], ["O", "O"]]
 
 
 _RELEASE_ROW = {"tokens": ["Ion", "merge"], "ner_tags": [1, 0], "region": "Moldavia"}

@@ -200,17 +200,42 @@ def test_bench_pairs_says_why_a_run_gave_no_result(tmp_path, capsys):
     assert out[-2:] == ["parent: 1 failed / 1 attempted", "change: 1 failed / 1 attempted"]
 
 
-def test_bench_pairs_gives_every_run_a_fresh_bytecode_cache(tmp_path):
-    checkouts = [tmp_path / side for side in ("parent", "change")]
-    for checkout in checkouts:
+def test_bench_pairs_gives_each_side_one_fresh_bytecode_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    log = tmp_path / "runs.jsonl"
+    for checkout in checkouts.values():
         (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "helper.py").write_text("")
+        # each run logs its checkout, its bytecode prefix, whether the helper's
+        # bytecode was cached before the import, and its --seconds
         (checkout / "perfbench" / "run.py").write_text(
-            "import json, sys\n"
-            "print(json.dumps({'metrics': {}, 'prefix': sys.pycache_prefix}))\n")
-    bench_pairs = _bench_pairs()
-    results = [bench_pairs.run_once(checkout, "w", 0, 0)[0] for checkout in checkouts * 2]
-    prefixes = [Path(result["prefix"]) for result in results]
-    assert len(set(prefixes)) == len(results)
-    for prefix in prefixes:
+            "import importlib.util, json, os, sys\n"
+            "cached = os.path.exists(importlib.util.cache_from_source("
+            "os.path.join(sys.path[0], 'helper.py')))\n"
+            "import helper\n"
+            f"with open({str(log)!r}, 'a') as f:\n"
+            "    print(json.dumps([os.path.basename(os.getcwd()), sys.pycache_prefix, cached,\n"
+            "                      sys.argv[sys.argv.index('--seconds') + 1]]), file=f)\n"
+            f"print({_result_line(wall_s=1.0)!r})\n")
+    assert _bench_pairs().main([str(checkouts["parent"]), str(checkouts["change"]),
+                                "--workload", "w", "--seed", "0", "--pairs", "2"]) == 0
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    timed = str(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
+    # an untimed warm-up per side, then the pairs in alternating order
+    assert [(side, seconds) for side, _, _, seconds in runs] == [
+        ("parent", "0"), ("change", "0"), ("parent", timed), ("change", timed),
+        ("change", timed), ("parent", timed)]
+    # the warm-up compiles into the side's cache and every timed run reads it
+    assert [cached for _, _, cached, _ in runs] == [False, False, True, True, True, True]
+    prefixes = {side: {Path(prefix) for name, prefix, _, _ in runs if name == side}
+                for side in checkouts}
+    assert all(len(found) == 1 for found in prefixes.values())
+    assert prefixes["parent"] != prefixes["change"]
+    for prefix in prefixes["parent"] | prefixes["change"]:
         assert not prefix.exists()
-        assert not any(prefix.is_relative_to(checkout) for checkout in checkouts)
+        assert not any(prefix.is_relative_to(checkout) for checkout in checkouts.values())
+    assert not any((checkout / "perfbench" / "__pycache__").exists()
+                   for checkout in checkouts.values())
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["parent: 0 failed / 8 attempted", "change: 0 failed / 8 attempted"]
