@@ -16,20 +16,17 @@ from .corpus import (
     SplitSpec,
     Splits,
     TAG_ALPHABET,
-    Token,
-    align_spans,
     corpus_stats,
     decode_iob,
     encode_iob,
     load_histnero,
     load_jsonl,
-    parse_brat,
     save_jsonl,
     split_dataset,
-    tokenize,
     validate_corpus,
     validate_document,
 )
+from .brat import Token, align_spans, parse_brat, tokenize
 from .metrics import (
     PRF,
     AgreementReport,

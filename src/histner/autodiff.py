@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Just enough engine for a windowed feed-forward tagger with two softmax
-heads: a handful of forward ops, a gradient-scaling pass-through, and a
-central finite-difference checker. Graphs are built per minibatch and
-discarded; there is no persistent tape.
+heads: a handful of forward ops and a gradient-scaling pass-through. Graphs
+are built per minibatch and discarded; there is no persistent tape. The
+finite-difference checker and the node-by-node product, which only the
+gradient tests run, live with the reference ops in ``tests/reference_ops.py``.
 
 A gradient is made at its first contribution and later ones are added out
 of place, so nodes may share a gradient array and none is written after it
@@ -11,8 +12,6 @@ is set.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,23 +125,14 @@ def sub(a: Node, b: Node) -> Node:
     return Node(a.value - b.value, (a, b), bw, "sub")
 
 
-def mul(a: Node, b) -> Node:
-    """Elementwise product with another node, or with a plain scalar."""
-    if isinstance(b, Node):
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+def mul(a: Node, factor: float) -> Node:
+    """Elementwise product with a plain scalar."""
+    factor = float(factor)
 
-        def bw(g):
-            _accumulate(a, g * b.value)
-            _accumulate(b, g * a.value)
-
-        return Node(a.value * b.value, (a, b), bw, "mul")
-    factor = float(b)
-
-    def bw_scalar(g):
+    def bw(g):
         _accumulate(a, g * factor)
 
-    return Node(a.value * factor, (a,), bw_scalar, "mul")
+    return Node(a.value * factor, (a,), bw, "mul")
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -215,46 +205,3 @@ def scale_gradient(x: Node, factor: float) -> Node:
         _accumulate(x, factor * g)
 
     return Node(x.value, (x,), bw, "scale_gradient")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def finite_difference_check(
-    f: Callable[[list[Node]], Node],
-    params: Sequence[np.ndarray],
-    eps: float = 1e-5,
-    coords: Sequence[tuple[int, int]] | None = None,
-) -> float:
-    """Max relative error between autodiff and central differences.
-
-    ``f`` builds a scalar loss from leaf nodes. ``coords`` selects
-    (param_index, flat_index) coordinates to probe; default is all of
-    them. Relative error uses max(|a|, |b|, 1e-8) as denominator.
-    Points where f is non-finite raise.
-    """
-    base = [np.asarray(p, dtype=np.float64).copy() for p in params]
-    leaves = [Node(p.copy()) for p in base]
-    loss = f(leaves)
-    if loss.value.shape != ():
-        raise ShapeError("finite_difference_check: f must return a scalar")
-    backward(loss)
-    auto = [leaf.grad.copy() for leaf in leaves]
-
-    if coords is None:
-        coords = [(i, j) for i, p in enumerate(base) for j in range(p.size)]
-
-    def eval_at(arrays: list[np.ndarray]) -> float:
-        return float(f([Node(a.copy()) for a in arrays]).value)
-
-    worst = 0.0
-    for i, j in coords:
-        saved = base[i].flat[j]
-        base[i].flat[j] = saved + eps
-        f_plus = eval_at(base)
-        base[i].flat[j] = saved - eps
-        f_minus = eval_at(base)
-        base[i].flat[j] = saved
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        ad = auto[i].flat[j]
-        rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-8)
-        worst = max(worst, rel)
-    return worst

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from . import analysis, corpus, metrics, model, training
+from . import analysis, brat, corpus, metrics, model, training
 from .errors import ConfigError, DataError, HistnerError
 
 logger = logging.getLogger("histner")
@@ -162,42 +162,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _collect_brat_pairs(root: Path) -> list[tuple[Path, Path]]:
-    if root.is_file():
-        txt = root if root.suffix == ".txt" else root.with_suffix(".txt")
-        ann = txt.with_suffix(".ann")
-        if not (txt.exists() and ann.exists()):
-            raise DataError(f"missing .txt/.ann pair for {root}")
-        return [(txt, ann)]
-    texts = sorted(root.rglob("*.txt"))
-    for path in sorted([*texts, *root.rglob("*.ann")]):
-        other = path.with_suffix(".ann" if path.suffix == ".txt" else ".txt")
-        if not other.exists():
-            raise DataError(f"{root}: {path.relative_to(root)} has no {other.suffix} file")
-    pairs = [(txt, txt.with_suffix(".ann")) for txt in texts]
-    if not pairs:
-        raise DataError(f"no .txt/.ann pairs under {root}")
-    return pairs
-
-
 def cmd_convert(args) -> int:
     if args.source_format == "brat":
-        inputs, docs, by_id, root = [], [], {}, Path(args.input)
-        for txt, ann in _collect_brat_pairs(root):
-            # the file stem is the document id
-            if txt.stem in by_id:
-                raise DataError(f"{root}: {by_id[txt.stem].relative_to(root)} and "
-                                f"{txt.relative_to(root)} give one document id {txt.stem!r}")
-            by_id[txt.stem] = txt
-            inputs.extend([txt, ann])
-            region = corpus.Region.parse(args.region or txt.parent.name)
-            text, annotations = corpus.read_text(txt), corpus.read_text(ann)
-            try:
-                docs.append(corpus.document_from_brat(txt.stem, region, text, annotations))
-            except HistnerError as exc:
-                where = ann.relative_to(root if root.is_dir() else root.parent)
-                raise DataError(f"{where}: {exc}") from exc
-        docs.sort(key=lambda d: d.id)
+        docs, inputs = brat.load(args.input, args.region)
     else:
         docs, inputs = corpus.load_jsonl(args.input), _inputs(args)
     dumps = corpus.dumps_jsonl if args.target_format == "jsonl" else corpus.dumps_conll

@@ -1,20 +1,19 @@
-"""Corpus model and I/O: BRAT standoff parsing, tokenization, span/token
-alignment, IOB2 encoding, validation, splitting, statistics, and the JSONL /
-CoNLL serialization formats.
+"""Corpus model and I/O: the data model, IOB2 encoding, validation,
+splitting, statistics, the JSONL / CoNLL serialization formats and the
+HistNERo release adapter. BRAT standoff input lives in ``brat``.
 
 The canonical on-disk form is JSONL with one sentence object per line
 (keys: ``doc_id``, ``region``, ``tokens``, ``tags``, optional ``year``).
-Tags are the source of truth; entity spans are derived by decoding.
+A record ends at ``\\n``. Tags are the source of truth; entity spans are
+derived by decoding.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import logging
 import math
 import numbers
-import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -23,16 +22,7 @@ from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    BratParseError,
-    ConfigError,
-    DataError,
-    TagError,
-    UnsupportedSpanError,
-)
-
-logger = logging.getLogger(__name__)
+from .errors import ConfigError, DataError, TagError
 
 
 class Region(enum.IntEnum):
@@ -91,17 +81,6 @@ TagSequence = list[str]
 YEAR_MIN, YEAR_MAX = 1817, 1990
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise DataError(f"bad token offsets [{self.start}, {self.end})")
-
-
 @dataclass
 class EntitySpan:
     """Token-indexed entity mention; ``last_token`` is inclusive."""
@@ -123,16 +102,6 @@ class EntitySpan:
     @property
     def n_tokens(self) -> int:
         return self.last_token - self.first_token + 1
-
-
-@dataclass(frozen=True)
-class RawSpan:
-    """Character-offset annotation straight out of a standoff file."""
-
-    label: EntityLabel
-    start: int
-    end: int
-    surface: str
 
 
 @dataclass
@@ -175,72 +144,6 @@ def iter_sentences(corpus: Corpus) -> Iterable[Sentence]:
         yield from doc.sentences
 
 
-# ---------------------------------------------------------------------------
-# BRAT standoff parsing
-# ---------------------------------------------------------------------------
-
-def parse_brat(text_content: str, ann_content: str) -> list[RawSpan]:
-    """Parse the T lines of a standoff annotation file.
-
-    Non-entity lines (relations, notes, ...) are skipped with a warning.
-    Each surface string must match the text slice it points at.
-    """
-    spans: list[RawSpan] = []
-    for line_no, line in enumerate(ann_content.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if not parts[0]:
-            raise BratParseError(line_no, "empty annotation id")
-        if not parts[0].startswith("T"):
-            logger.warning("ignoring non-entity annotation line %d (%s)", line_no, parts[0])
-            continue
-        if len(parts) != 3:
-            raise BratParseError(
-                line_no, f"expected 'ID<TAB>LABEL START END<TAB>SURFACE', got {len(parts)} fields"
-            )
-        if ";" in parts[1]:
-            raise UnsupportedSpanError(
-                f"line {line_no}: discontinuous spans are not supported"
-            )
-        fields = parts[1].split(" ")
-        if len(fields) != 3:
-            raise BratParseError(line_no, f"malformed span descriptor {parts[1]!r}")
-        try:
-            label = EntityLabel.parse(fields[0])
-        except DataError as exc:
-            raise BratParseError(line_no, str(exc))
-        try:
-            start, end = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise BratParseError(line_no, f"non-integer offsets in {parts[1]!r}")
-        if not (0 <= start < end <= len(text_content)):
-            raise AlignmentError(
-                f"line {line_no}: span [{start}, {end}) outside text of length {len(text_content)}"
-            )
-        surface = parts[2]
-        actual = text_content[start:end]
-        if surface != actual:
-            raise AlignmentError(
-                f"line {line_no}: surface {surface!r} does not match text slice {actual!r}"
-            )
-        spans.append(RawSpan(label, start, end, surface))
-    return spans
-
-
-# ---------------------------------------------------------------------------
-# Tokenization and alignment
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"[^\W_]+|\S")
-
-
-def tokenize(text: str) -> list[Token]:
-    """Deterministic rule tokenizer: maximal alphanumeric runs, every other
-    non-space character is its own token. Offsets index into ``text``."""
-    return [Token(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
-
-
 def span_conflicts(spans: Sequence[EntitySpan]) -> list[str]:
     """Describe every overlapping or nested pair of token-indexed spans."""
     ordered = sorted(spans, key=lambda s: (s.first_token, s.last_token))
@@ -250,29 +153,6 @@ def span_conflicts(spans: Sequence[EntitySpan]) -> list[str]:
             kind = "nested" if cur.last_token <= prev.last_token else "overlapping"
             conflicts.append(f"{kind} spans {prev.key} / {cur.key}")
     return conflicts
-
-
-def align_spans(tokens: Sequence[Token], raw_spans: Sequence[RawSpan]) -> list[EntitySpan]:
-    """Map character spans onto the smallest covering token windows.
-
-    A span that cuts into a token is expanded to include the whole token.
-    Token windows of different spans must not overlap.
-    """
-    aligned: list[EntitySpan] = []
-    for raw in raw_spans:
-        covering = [
-            i for i, tok in enumerate(tokens)
-            if tok.start < raw.end and tok.end > raw.start
-        ]
-        if not covering:
-            raise AlignmentError(
-                f"span [{raw.start}, {raw.end}) {raw.surface!r} covers no token"
-            )
-        aligned.append(EntitySpan(raw.label, covering[0], covering[-1]))
-    conflicts = span_conflicts(aligned)
-    if conflicts:
-        raise AlignmentError(f"aligned spans violate the no-nesting rule: {conflicts[0]}")
-    return aligned
 
 
 # ---------------------------------------------------------------------------
@@ -362,40 +242,6 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         seen[doc.id] = 1
         violations.extend(validate_document(doc))
     return violations
-
-
-# ---------------------------------------------------------------------------
-# BRAT pair -> Document
-# ---------------------------------------------------------------------------
-
-def document_from_brat(doc_id: str, region: Region, text_content: str,
-                       ann_content: str) -> Document:
-    """Build a Document from a .txt/.ann pair.
-
-    Sentences are the non-empty lines of the text file. A span on a blank
-    line covers no token, an alignment error; so is a span crossing a line
-    boundary, raised by ``parse_brat``: a surface read from one line of the
-    ``.ann`` file cannot match a slice holding a newline.
-    """
-    raw_spans = parse_brat(text_content, ann_content)
-    sentences: list[Sentence] = []
-    offset = 0
-    for line in text_content.split("\n"):
-        line_start, line_end = offset, offset + len(line)
-        offset = line_end + 1
-        local = [
-            s for s in raw_spans
-            if s.start < line_end and s.end > line_start
-        ]
-        tokens = [
-            Token(t.text, t.start + line_start, t.end + line_start)
-            for t in tokenize(line)
-        ]
-        spans = align_spans(tokens, local)
-        if tokens:
-            tags = encode_iob(spans, len(tokens))
-            sentences.append(Sentence(tokens=[t.text for t in tokens], tags=tags, region=region))
-    return Document(id=doc_id, region=region, sentences=sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +523,10 @@ def _record_fields(obj) -> tuple[str, int | None, Sentence]:
 
 
 def _json_lines(content: str) -> Iterator[tuple[int, object]]:
-    """Each non-blank line's number and parsed JSON value."""
-    for line_no, line in enumerate(content.splitlines(), start=1):
+    """Each non-blank line's number and parsed JSON value. A line ends at
+    ``\\n``: ``dumps_jsonl`` writes U+2028, U+2029 and U+0085 as they are,
+    inside strings, and a ``\\r`` before ``\\n`` is JSON whitespace."""
+    for line_no, line in enumerate(content.split("\n"), start=1):
         if line.strip():
             try:
                 yield line_no, json.loads(line)
@@ -711,9 +559,10 @@ def loads_jsonl(content: str) -> Corpus:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; other bytes are a ``DataError`` naming the file."""
+    """A UTF-8 file's text as stored, with no newline translation; other
+    bytes are a ``DataError`` naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

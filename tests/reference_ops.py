@@ -4,30 +4,33 @@ compare against them.
 The per-slot reference graph gathers each window slot with
 ``embedding_lookup`` over the whole table and joins the slots with
 ``concat``; the tagger's own forward gathers the windows once and keeps its
-table gradient row-sparse. ``is_valid_iob`` is the oracle for the IOB2
-sequences that ``encode_iob`` repairs and the generators emit.
+table gradient row-sparse. ``mul`` adds the node-by-node product to the
+engine's product with a scalar. ``finite_difference_check`` is the central
+finite-difference oracle for every gradient. ``is_valid_iob`` is the oracle
+for the IOB2 sequences that ``encode_iob`` repairs and the generators emit.
 
 Gradients follow the engine's rule (a gradient is its first contribution;
 later ones are added out of place), so an op that must scatter in place
-scatters into a copy. The module re-exports the engine ops the reference
-graph is built from, so ``import reference_ops as ad`` gives one namespace
-for the whole graph.
+scatters into a copy. The module re-exports the engine names that the
+tests use, so ``import reference_ops as ad`` gives one namespace for the
+whole graph.
 """
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from histner import autodiff
 from histner.autodiff import (
     Node,
     _accumulate,
     _require_2d,
+    _topo_order,
     add,
+    all_finite,
     backward,
-    finite_difference_check,
     matmul,
     mean,
-    mul,
     scale_gradient,
     softmax_cross_entropy,
     sub,
@@ -72,6 +75,63 @@ def embedding_lookup(table: Node, ids) -> Node:
         np.add.at(table.grad, ids, g)
 
     return Node(table.value[ids], (table,), bw, "embedding_lookup")
+
+
+def mul(a: Node, b) -> Node:
+    """Elementwise product with another node, or with a plain scalar."""
+    if isinstance(b, Node):
+        if a.shape != b.shape:
+            raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+
+        def bw(g):
+            _accumulate(a, g * b.value)
+            _accumulate(b, g * a.value)
+
+        return Node(a.value * b.value, (a, b), bw, "mul")
+    return autodiff.mul(a, b)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def finite_difference_check(
+    f: Callable[[list[Node]], Node],
+    params: Sequence[np.ndarray],
+    eps: float = 1e-5,
+    coords: Sequence[tuple[int, int]] | None = None,
+) -> float:
+    """Max relative error between autodiff and central differences.
+
+    ``f`` builds a scalar loss from leaf nodes. ``coords`` selects
+    (param_index, flat_index) coordinates to probe; default is all of
+    them. Relative error uses max(|a|, |b|, 1e-8) as denominator.
+    Points where f is non-finite raise.
+    """
+    base = [np.asarray(p, dtype=np.float64).copy() for p in params]
+    leaves = [Node(p.copy()) for p in base]
+    loss = f(leaves)
+    if loss.value.shape != ():
+        raise ShapeError("finite_difference_check: f must return a scalar")
+    backward(loss)
+    auto = [leaf.grad.copy() for leaf in leaves]
+
+    if coords is None:
+        coords = [(i, j) for i, p in enumerate(base) for j in range(p.size)]
+
+    def eval_at(arrays: list[np.ndarray]) -> float:
+        return float(f([Node(a.copy()) for a in arrays]).value)
+
+    worst = 0.0
+    for i, j in coords:
+        saved = base[i].flat[j]
+        base[i].flat[j] = saved + eps
+        f_plus = eval_at(base)
+        base[i].flat[j] = saved - eps
+        f_minus = eval_at(base)
+        base[i].flat[j] = saved
+        fd = (f_plus - f_minus) / (2.0 * eps)
+        ad = auto[i].flat[j]
+        rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-8)
+        worst = max(worst, rel)
+    return worst
 
 
 def is_valid_iob(tags: Sequence[str]) -> bool:

@@ -390,16 +390,32 @@ def _empty_sentence_test_case(tmp_path, corpus_file):
 
 
 def _brat_case(files: dict[str, str], *flags, file=""):
-    """A BRAT ``convert`` run on a directory holding ``files``, or on the
-    one of them that ``file`` names."""
+    """A BRAT ``convert`` run on a directory holding ``files``, written as
+    given, or on the one of them that ``file`` names."""
     def build(tmp_path, corpus_file):
         root = tmp_path / "brat"
         for name, text in files.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_text(text, encoding="utf-8")
+            (root / name).write_text(text, encoding="utf-8", newline="")
         return ["convert", "--from", "brat", "--to", "jsonl", "--input", root / file, *flags,
                 "--out", tmp_path / "o"]
     return build
+
+
+def _crlf_sample(offsets_count_cr: bool):
+    """``tests/data/sample.txt`` and its ``.ann`` with ``\\r\\n`` line ends.
+    The offsets count each ``\\r`` if ``offsets_count_cr``, else they are
+    the ``\\n`` file's."""
+    text = (DATA / "sample.txt").read_text(encoding="utf-8")
+    lines = []
+    for line in (DATA / "sample.ann").read_text(encoding="utf-8").splitlines():
+        ident, span, surface = line.split("\t")
+        label, *offsets = span.split(" ")
+        if offsets_count_cr:
+            offsets = [int(o) + text.count("\n", 0, int(o)) for o in offsets]
+        lines.append(f"{ident}\t{label} {offsets[0]} {offsets[1]}\t{surface}\r\n")
+    return _brat_case({"sample.txt": text.replace("\n", "\r\n"), "sample.ann": "".join(lines)},
+                      "--region", "Moldavia")
 
 
 def _save_small_params(path):
@@ -542,6 +558,10 @@ MALFORMED = {
                     "moldavia/b.txt": "Ion pleca.\n", "moldavia/b.ann": "T1\tPERSON\n"}),
         "error: moldavia/b.ann: line 1: expected 'ID<TAB>LABEL START END<TAB>SURFACE', "
         "got 2 fields"),
+    "BRAT CRLF text, offsets skip each CR": (
+        _crlf_sample(offsets_count_cr=False),
+        "error: sample.ann: line 3: surface '1884' does not match text slice ' 188'; "
+        r"offsets count the .txt as stored, each \r\n as two characters"),
     "BRAT file input has a bad annotation": (
         _brat_case({"x.txt": "Ion vine.\n",
                     "x.ann": "T1\tPERSON 0 3\tIon\nT2\tPLACE 4 8\tvine\n"},
@@ -580,6 +600,29 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     assert "Traceback" not in err
     if "--out" in argv:
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+#: The corpus of one sentence, "Ion Pop vine", whose first two tokens are one entity.
+_ION_POP = json.dumps({"doc_id": "a", "region": "Moldavia", "tokens": ["Ion", "Pop", "vine"],
+                       "tags": ["B-PERSON", "I-PERSON", "O"]}).encode() + b"\n"
+
+#: BRAT input that converts, and the bytes of the ``corpus.jsonl`` it gives.
+BRAT_CONVERTED = {
+    **{f"BRAT span holds {name}": (
+        _brat_case({"moldavia/a.txt": f"Ion{sep}Pop vine\n",
+                    "moldavia/a.ann": f"T1\tPERSON 0 7\tIon{sep}Pop\n"}),
+        _ION_POP)
+       for name, sep in (("U+2028", "\u2028"), ("U+0085", "\x85"), ("U+000C", "\x0c"))},
+    "BRAT CRLF text, offsets count each CR": (
+        _crlf_sample(offsets_count_cr=True), (DATA / "golden_sample.jsonl").read_bytes()),
+}
+
+
+@pytest.mark.parametrize("case", list(BRAT_CONVERTED), ids=list(BRAT_CONVERTED))
+def test_brat_input_converts(case, corpus_file, tmp_path):
+    build, expected = BRAT_CONVERTED[case]
+    assert run(build(tmp_path, corpus_file)) == 0
+    assert (tmp_path / "o" / "corpus.jsonl").read_bytes() == expected
 
 
 def _split_file(tmp_path, corpus_file):

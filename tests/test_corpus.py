@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -8,15 +9,13 @@ from hypothesis import strategies as st
 
 from histner import corpus as C
 from histner import synthetic
+from histner.brat import RawSpan, align_spans, document_from_brat, parse_brat, tokenize
 from histner.corpus import (
     EntityLabel,
     EntitySpan,
-    RawSpan,
     Region,
     SplitSpec,
     TAG_ALPHABET,
-    Token,
-    align_spans,
     apply_split_file,
     corpus_stats,
     decode_iob,
@@ -24,9 +23,7 @@ from histner.corpus import (
     dumps_jsonl,
     encode_iob,
     loads_jsonl,
-    parse_brat,
     split_dataset,
-    tokenize,
     validate_corpus,
     validate_document,
 )
@@ -69,9 +66,7 @@ class TestParseBrat:
         assert err.value.line_no == 2
 
     def test_non_entity_lines_skipped(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="histner.corpus"):
+        with caplog.at_level(logging.WARNING, logger="histner.brat"):
             spans = parse_brat("abc", "A1\tNote T1 whatever\nT1\tDATE 0 3\tabc")
         assert len(spans) == 1
         assert "ignoring" in caplog.text
@@ -550,7 +545,11 @@ class TestCorpusStats:
 # ---------------------------------------------------------------------------
 
 class TestJsonl:
-    def test_roundtrip(self, tiny_corpus):
+    # json.dumps escapes control characters but writes these line breaks as they are
+    @pytest.mark.parametrize("token", ["Popescu", "Pop\u2028escu", "Pop\u2029escu", "Pop\x85escu"],
+                             ids=["plain", "U+2028", "U+2029", "U+0085"])
+    def test_roundtrip(self, tiny_corpus, token):
+        tiny_corpus[0].sentences[0].tokens[1] = token
         loaded = loads_jsonl(dumps_jsonl(tiny_corpus))
         assert dumps_jsonl(loaded) == dumps_jsonl(tiny_corpus)
         assert [d.id for d in loaded] == [d.id for d in tiny_corpus]
@@ -587,7 +586,7 @@ class TestBratDocument:
     def test_two_line_document(self):
         text = "Mihai merge.\nAnul 1848 vine."
         ann = "T1\tPERSON 0 5\tMihai\nT2\tDATE 18 22\t1848"
-        doc = C.document_from_brat("d1", Region.MOLDAVIA, text, ann)
+        doc = document_from_brat("d1", Region.MOLDAVIA, text, ann)
         assert len(doc.sentences) == 2
         assert doc.sentences[0].tags[0] == "B-PERSON"
         assert doc.sentences[1].tags == ["O", "B-DATE", "O", "."[:0] + "O"]
@@ -596,17 +595,17 @@ class TestBratDocument:
         text = "abc\ndef"
         ann = "T1\tPERSON 2 5\tc\nd"
         with pytest.raises((AlignmentError, BratParseError)):
-            C.document_from_brat("d", Region.MOLDAVIA, text, ann)
+            document_from_brat("d", Region.MOLDAVIA, text, ann)
 
     def test_span_on_blank_line_rejected(self):
         text = "Ion vine\n \nla Iasi\n"
         ann = "T1\tPERSON 0 3\tIon\nT2\tDATE 9 10\t "
         with pytest.raises(AlignmentError, match=r"span \[9, 10\) ' ' covers no token"):
-            C.document_from_brat("d", Region.MOLDAVIA, text, ann)
+            document_from_brat("d", Region.MOLDAVIA, text, ann)
 
     def test_blank_lines_without_spans_skipped(self):
         text = "Ion vine\r\n \t\r\n\n\u00a0\nla Iasi\n"
-        doc = C.document_from_brat("d", Region.MOLDAVIA, text, "T1\tPERSON 0 3\tIon")
+        doc = document_from_brat("d", Region.MOLDAVIA, text, "T1\tPERSON 0 3\tIon")
         assert [s.tokens for s in doc.sentences] == [["Ion", "vine"], ["la", "Iasi"]]
         assert [s.tags for s in doc.sentences] == [["B-PERSON", "O"], ["O", "O"]]
 
@@ -709,7 +708,7 @@ def _release_sentences(tmp_path):
 SENTENCE_BUILDERS = {
     "load_jsonl": _jsonl_sentences,
     "load_histnero": _release_sentences,
-    "document_from_brat": lambda _: C.document_from_brat(
+    "document_from_brat": lambda _: document_from_brat(
         "d", Region.MOLDAVIA, "Mihai merge.\nAnul 1848 vine.", "T1\tPERSON 0 5\tMihai").sentences,
     "sentence_from_texts": lambda _: [C.sentence_from_texts(["Ion", "vine"], ["B-PERSON", "O"],
                                                             Region.WALLACHIA)],
