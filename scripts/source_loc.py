@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print the source size of the package: for each file under src/histner,
-its lines that are neither blank nor a ``#`` comment, then their total.
-Docstrings count as code.
+"""Print the source size of the package and of its tests: for each file
+under src/histner and each tests/*.py, its lines that are neither blank nor
+a ``#`` comment, then the total of each of the two groups. Docstrings count
+as code.
 
 Usage: python scripts/source_loc.py
 """
@@ -10,6 +11,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: Each group's directory and the pattern of its files there.
+GROUPS = (("src/histner", "**/*.py"), ("tests", "*.py"))
+
 
 def source_lines(path: Path) -> int:
     return sum(1 for line in path.read_text(encoding="utf-8").splitlines()
@@ -17,12 +21,13 @@ def source_lines(path: Path) -> int:
 
 
 def main():
-    total = 0
-    for path in sorted((ROOT / "src" / "histner").rglob("*.py")):
-        n = source_lines(path)
-        total += n
-        print(f"{n}\t{path.relative_to(ROOT)}")
-    print(f"{total}\ttotal")
+    for directory, pattern in GROUPS:
+        total = 0
+        for path in sorted((ROOT / directory).glob(pattern)):
+            n = source_lines(path)
+            total += n
+            print(f"{n}\t{path.relative_to(ROOT)}")
+        print(f"{total}\ttotal {directory}")
 
 
 if __name__ == "__main__":

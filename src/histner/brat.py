@@ -12,12 +12,13 @@ from __future__ import annotations
 import bisect
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (Corpus, Document, EntityLabel, EntitySpan, Region, Sentence, encode_iob,
-                     read_text, span_conflicts)
+                     read_text)
 from .errors import AlignmentError, BratParseError, DataError, HistnerError, UnsupportedSpanError
 
 logger = logging.getLogger(__name__)
@@ -36,12 +37,13 @@ class Token:
 
 @dataclass(frozen=True)
 class RawSpan:
-    """Character-offset annotation straight out of a standoff file."""
+    """Character-offset annotation straight out of a standoff file, and its line there."""
 
     label: EntityLabel
     start: int
     end: int
     surface: str
+    line: int
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +78,13 @@ def load(path: str | Path, region: str | None = None) -> tuple[Corpus, list[Path
     for txt in texts:
         ann = txt.with_suffix(".ann")
         inputs.extend([txt, ann])
-        doc_region = Region.parse(region or txt.parent.name)
         text, annotations = read_text(txt), read_text(ann)
         try:
+            try:
+                doc_region = Region.parse(region or txt.parent.name)
+            except DataError as exc:
+                raise exc if region else DataError(f"{exc}, taken from the name of its directory; "
+                                                   "give one with --region")
             docs.append(document_from_brat(txt.stem, doc_region, text, annotations))
         except HistnerError as exc:
             raise DataError(f"{ann.relative_to(root)}: {exc}") from exc
@@ -140,7 +146,7 @@ def parse_brat(text_content: str, ann_content: str) -> list[RawSpan]:
                 f"line {line_no}: surface {surface!r} does not match text slice {actual!r}"
                 + convention
             )
-        spans.append(RawSpan(label, start, end, surface))
+        spans.append(RawSpan(label, start, end, surface, line_no))
     return spans
 
 
@@ -148,12 +154,15 @@ def parse_brat(text_content: str, ann_content: str) -> list[RawSpan]:
 # Tokenization and alignment
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[^\W_]+|\S")
+#: A letter or digit takes the combining marks after it, so a word in NFD
+#: form, as ``Ias\u0326i``, is one token.
+_TOKEN = re.compile(r"(?:[^\W_][\u0300-\u036f\u1ab0-\u1aff\u1dc0-\u1dff\u20d0-\u20ff\ufe20-\ufe2f]*)+"
+                    r"|\S")
 
 
 def tokenize(text: str) -> list[Token]:
-    """Deterministic rule tokenizer: maximal alphanumeric runs, every other
-    non-space character is its own token. Offsets index into ``text``."""
+    """Deterministic rule tokenizer: maximal runs of letters and digits with their combining
+    marks, and every other non-space character alone. Offsets index into ``text``."""
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
@@ -162,7 +171,8 @@ def align_spans(tokens: Sequence[Token], raw_spans: Sequence[RawSpan]) -> list[E
 
     ``tokens`` are in text order and disjoint, as ``tokenize`` makes them.
     A span that cuts into a token is expanded to include the whole token.
-    Token windows of different spans must not overlap.
+    Token windows of different spans must not overlap: the first nested or
+    overlapping pair, in window order, is an error naming both spans.
     """
     starts, ends = [t.start for t in tokens], [t.end for t in tokens]
     aligned: list[EntitySpan] = []
@@ -174,9 +184,14 @@ def align_spans(tokens: Sequence[Token], raw_spans: Sequence[RawSpan]) -> list[E
                 f"span [{raw.start}, {raw.end}) {raw.surface!r} covers no token"
             )
         aligned.append(EntitySpan(raw.label, first, last))
-    conflicts = span_conflicts(aligned)
-    if conflicts:
-        raise AlignmentError(f"aligned spans violate the no-nesting rule: {conflicts[0]}")
+    order = sorted(range(len(aligned)), key=lambda i: (aligned[i].first_token, aligned[i].last_token))
+    for i, j in zip(order, order[1:]):
+        if aligned[j].first_token <= aligned[i].last_token:
+            kind = "nested" if aligned[j].last_token <= aligned[i].last_token else "overlapping"
+            a, b = raw_spans[i], raw_spans[j]
+            raise AlignmentError(f"aligned spans violate the no-nesting rule: {kind} spans, line "
+                                 f"{a.line} {a.label.name} [{a.start}, {a.end}) and line {b.line} "
+                                 f"{b.label.name} [{b.start}, {b.end})")
     return aligned
 
 
@@ -187,13 +202,15 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
     Sentences are the non-empty lines of the text file. A span on a blank
     line covers no token, an alignment error; so is a span crossing a line
     boundary, raised by ``parse_brat``: a surface read from one line of the
-    ``.ann`` file cannot match a slice holding a newline.
+    ``.ann`` file cannot match a slice holding a newline. Each token's text
+    is written in NFC, so NFC and NFD forms of a pair give one Document.
     """
     tokens = tokenize(text_content)
     tags = encode_iob(align_spans(tokens, parse_brat(text_content, ann_content)), len(tokens))
     # no token holds a "\n", so the tokens of one line are one run
     starts = [i for i, t in enumerate(tokens)
               if i == 0 or "\n" in text_content[tokens[i - 1].end:t.start]]
-    sentences = [Sentence(tokens=[t.text for t in tokens[a:b]], tags=tags[a:b], region=region)
+    sentences = [Sentence(tokens=[unicodedata.normalize("NFC", t.text) for t in tokens[a:b]],
+                          tags=tags[a:b], region=region)
                  for a, b in zip(starts, [*starts[1:], len(tokens)])]
     return Document(id=doc_id, region=region, sentences=sentences)

@@ -144,17 +144,6 @@ def iter_sentences(corpus: Corpus) -> Iterable[Sentence]:
         yield from doc.sentences
 
 
-def span_conflicts(spans: Sequence[EntitySpan]) -> list[str]:
-    """Describe every overlapping or nested pair of token-indexed spans."""
-    ordered = sorted(spans, key=lambda s: (s.first_token, s.last_token))
-    conflicts = []
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.first_token <= prev.last_token:
-            kind = "nested" if cur.last_token <= prev.last_token else "overlapping"
-            conflicts.append(f"{kind} spans {prev.key} / {cur.key}")
-    return conflicts
-
-
 # ---------------------------------------------------------------------------
 # IOB2 encode / decode
 # ---------------------------------------------------------------------------

@@ -203,19 +203,19 @@ class AdamState:
     v: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     step: int = 0
     #: Per row-sparse parameter whose moments are held for some rows only,
-    #: the sorted rows that have ever had a gradient; ``m`` and ``v`` hold
-    #: those rows in that order. A key without an entry has moments of the
-    #: parameter's shape.
-    touched: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    #: the sorted rows that every gradient of it falls in, fixed before the
+    #: first step; ``m`` and ``v`` hold those rows in that order. A key
+    #: without an entry has moments of the parameter's shape.
+    rows: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
 #: Adam's moment decay rates and the guard added to the update's denominator.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-#: A row-sparse gradient updates only the ever-touched rows while they are
-#: at most this share of the table; above it the whole table is updated.
-#: Both give the same bits. On a 2-vCPU Xeon host, Adam on a 2^15 x 64
-#: table costs the same both ways at a share of about one half.
+#: ``train()`` holds the table's moments for the rows its training windows
+#: read when those are at most this share of the table, and for the whole
+#: table otherwise. Both give the same bits. On a 2-vCPU Xeon host, Adam on
+#: a 2^15 x 64 table costs the same both ways at a share of about one half.
 _SPARSE_SHARE = 0.5
 
 #: Elements per block of the weight decay, so that a block's product stays
@@ -264,13 +264,12 @@ def adam_step(
     gradient in ``grads``; the others stay as they are. Weight decay is
     decoupled and applied before the moment update.
 
-    A ``RowSparse`` gradient updates the moments and the parameter on the
-    rows that have ever had a gradient, while they are at most
-    ``_SPARSE_SHARE`` of the table, and the moments are held for those rows
-    only; beyond that, the moments take the table's shape and the whole
-    table is updated. Every other row has zero moments and a zero gradient,
-    so its dense update is exactly 0; only the decay, which stays dense,
-    moves it.
+    A key with rows in ``state.rows`` takes only ``RowSparse`` gradients
+    within those rows, and Adam updates its moments and the parameter on
+    those rows alone. A row that has had no gradient yet, held or not, has
+    zero moments and a zero gradient, so its dense update is exactly 0;
+    every row outside the held ones is such a row, and only the decay,
+    which stays dense, moves it.
     """
     state.step += 1
     arrays = dict(params.items_flat())
@@ -280,33 +279,22 @@ def adam_step(
         shape = (grad.n_rows, *grad.values.shape[1:]) if sparse else grad.shape
         if shape != arr.shape:
             raise DataError(f"gradient shape {shape} != param shape {arr.shape} for {key}")
+        rows = state.rows.get(key)
+        if rows is not None and not (sparse and np.isin(grad.rows, rows, assume_unique=True).all()):
+            raise DataError(f"gradient of {key} outside its {len(rows)} held rows")
         if weight_decay:
             _decay(arr, lr * weight_decay)
         if key not in state.m:
-            if sparse:
-                state.touched[key] = np.zeros(0, dtype=np.int64)
-            size = (0, *arr.shape[1:]) if sparse else arr.shape
+            size = arr.shape if rows is None else (len(rows), *arr.shape[1:])
             state.m[key], state.v[key] = np.zeros(size), np.zeros(size)
-        if key in state.touched:
-            old = state.touched[key]
-            rows = np.union1d(old, grad.rows) if sparse else np.arange(len(arr))
-            moments = state.m[key], state.v[key]
-            if len(rows) <= _SPARSE_SHARE * len(arr):
-                if len(rows) > len(old):  # new rows enter with zero moments
-                    at = np.searchsorted(rows, old)
-                    state.m[key], state.v[key] = (m.RowSparse(at, x, len(rows)).dense()
-                                                  for x in moments)
-                state.touched[key] = rows
-                row_grad = m.RowSparse(np.searchsorted(rows, grad.rows), grad.values, len(rows))
-                gathered = arr[rows]
-                _adam_update(gathered, state.m[key], state.v[key], row_grad.dense(), lr, state.step)
-                arr[rows] = gathered
-                continue
-            # past the share: the moments take the table's shape for good
-            del state.touched[key]
-            state.m[key], state.v[key] = (m.RowSparse(old, x, len(arr)).dense() for x in moments)
-        _adam_update(arr, state.m[key], state.v[key], grad.dense() if sparse else grad, lr,
-                     state.step)
+        if rows is None:
+            _adam_update(arr, state.m[key], state.v[key], grad.dense() if sparse else grad, lr,
+                         state.step)
+        else:
+            gathered = arr[rows]
+            row_grad = m.RowSparse(np.searchsorted(rows, grad.rows), grad.values, len(rows))
+            _adam_update(gathered, state.m[key], state.v[key], row_grad.dense(), lr, state.step)
+            arr[rows] = gathered
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +449,10 @@ def train(
     valid_encoded = encode_sentences(valid_sentences, tagger_config)
     valid_spans = [s.spans for s in valid_sentences]
     valid_tokens = sum(len(s) for s in valid_encoded)
-    state = AdamState()
+    # every row a batch can read is known before the first step
+    read = np.unique(np.concatenate([s.windows for s in encoded]))
+    few = len(read) <= _SPARSE_SHARE * len(params.extractor["embed"])
+    state = AdamState(rows={m.EMBED: read} if few else {})
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_f1 = -1.0

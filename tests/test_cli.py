@@ -7,6 +7,7 @@ import logging
 import math
 import struct
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,34 @@ def _model_case(command, records, write=_save_small_params):
     return build
 
 
+def _split_by_region_case(command, test_regions):
+    """A ``command`` run whose split file puts each region's first sentence
+    in valid, its second in test if the region is in ``test_regions``, and
+    the rest in train."""
+    def build(tmp_path, corpus_file):
+        parts, seen, per_region = {"train": [], "valid": [], "test": []}, {}, {}
+        for line in corpus_file.read_text().splitlines():
+            record = json.loads(line)
+            index = seen[record["doc_id"]] = seen.get(record["doc_id"], -1) + 1
+            k = per_region[record["region"]] = per_region.get(record["region"], -1) + 1
+            part = ("valid" if k == 0 else "test" if k == 1 and record["region"] in test_regions
+                    else "train")
+            parts[part].append(f"{record['doc_id']}#{index}")
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(parts))
+        return [command, "--input", corpus_file, "--split-file", path, "--out", tmp_path / "o"]
+    return build
+
+
+def _no_valid_case(tmp_path, corpus_file):
+    """A ``train`` run whose split file leaves the valid part empty."""
+    doc_ids = list(dict.fromkeys(json.loads(line)["doc_id"]
+                                 for line in corpus_file.read_text().splitlines()))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"train": doc_ids[:-1], "valid": [], "test": doc_ids[-1:]}))
+    return ["train", "--input", corpus_file, "--split-file", path, "--out", tmp_path / "o"]
+
+
 def _non_utf8_corpus_case(tmp_path, corpus_file):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b"\xff" + corpus_file.read_bytes())
@@ -455,6 +484,8 @@ MALFORMED = {
     "year is a string": (_jsonl_case({**_RECORD, "year": "1900"}), "line 1"),
     "year out of range": (_jsonl_case(_RECORD, {**_RECORD, "year": 1700}), "line 2"),
     "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
+    "token text is empty": (
+        _jsonl_case(_RECORD, {**_RECORD, "tokens": ["Ion", ""]}), "bad.jsonl: line 2: empty token text"),
     "document years disagree": (
         _jsonl_case({**_RECORD, "year": 1900}, {**_RECORD, "year": 1900}, "",
                     {**_RECORD, "year": 1850}),
@@ -463,6 +494,10 @@ MALFORMED = {
         _jsonl_case({**_RECORD, "year": 1900}, _RECORD),
         "bad.jsonl: line 2: document 'd' has year None, but 1900 at line 1"),
     "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
+    "valid split is empty": (_no_valid_case, "error: empty valid split"),
+    "crossregion test part lacks a region": (
+        _split_by_region_case("crossregion", ("Bessarabia", "Transylvania", "Wallachia")),
+        "error: region Moldavia has no evaluation sentences"),
     "test split has an empty sentence": (
         _empty_sentence_test_case, "with_empty.jsonl: empty[0]: sentence has no tokens"),
     "second iaa layer has a bad record": (_iaa_case(lambda r: [1, 2]), "layer_b.jsonl: line 2"),
@@ -562,6 +597,29 @@ MALFORMED = {
         _crlf_sample(offsets_count_cr=False),
         "error: sample.ann: line 3: surface '1884' does not match text slice ' 188'; "
         r"offsets count the .txt as stored, each \r\n as two characters"),
+    "BRAT directory holds no pair": (
+        _brat_case({"moldavia/notes.md": "Ion vine.\n"}), "no .txt/.ann pairs for "),
+    "BRAT annotation id is empty": (
+        _brat_case({"x.txt": "Ion vine.\n", "x.ann": "T1\tPERSON 0 3\tIon\n\tDATE 4 8\tvine\n"},
+                   "--region", "Moldavia"),
+        "error: x.ann: line 2: empty annotation id"),
+    "BRAT span descriptor has two fields": (
+        _brat_case({"x.txt": "Ion vine.\n", "x.ann": "T1\tPERSON 0\tIon\n"}, "--region", "Moldavia"),
+        "error: x.ann: line 1: malformed span descriptor 'PERSON 0'"),
+    "BRAT span offset is not an integer": (
+        _brat_case({"x.txt": "Ion vine.\n", "x.ann": "T1\tPERSON 0 3.0\tIon\n"},
+                   "--region", "Moldavia"),
+        "error: x.ann: line 1: non-integer offsets in 'PERSON 0 3.0'"),
+    "BRAT spans nest": (
+        _brat_case({"x.txt": "Ion Pop vine.\n",
+                    "x.ann": "T1\tPERSON 0 7\tIon Pop\nT2\tDATE 4 7\tPop\n"},
+                   "--region", "Moldavia"),
+        "error: x.ann: aligned spans violate the no-nesting rule: nested spans, "
+        "line 1 PERSON [0, 7) and line 2 DATE [4, 7)"),
+    "BRAT region from a directory that names none": (
+        _brat_case({"in/x.txt": "Ion vine.\n", "in/x.ann": "T1\tPERSON 0 3\tIon\n"}),
+        "error: in/x.ann: unknown region 'in', taken from the name of its directory; "
+        "give one with --region"),
     "BRAT file input has a bad annotation": (
         _brat_case({"x.txt": "Ion vine.\n",
                     "x.ann": "T1\tPERSON 0 3\tIon\nT2\tPLACE 4 8\tvine\n"},
@@ -623,6 +681,27 @@ def test_brat_input_converts(case, corpus_file, tmp_path):
     build, expected = BRAT_CONVERTED[case]
     assert run(build(tmp_path, corpus_file)) == 0
     assert (tmp_path / "o" / "corpus.jsonl").read_bytes() == expected
+
+
+def test_brat_nfd_text_converts_as_its_nfc_form(tmp_path):
+    # s and t with a comma below (U+0219, U+021B) and with a cedilla (U+015F,
+    # U+0163) stay distinct
+    text = "Ia\u0219i \u0219i Bra\u0219ov, \u00een \u0163ara Rom\u00e2neasc\u0103.\n"
+    converted = []
+    for form in ("NFC", "NFD"):
+        form_text = unicodedata.normalize(form, text)
+        surfaces = [unicodedata.normalize(form, w) for w in ("Ia\u0219i", "Bra\u0219ov")]
+        ann = "".join(f"T{n}\tLOCATION {form_text.index(w)} {form_text.index(w) + len(w)}\t{w}\n"
+                      for n, w in enumerate(surfaces, start=1))
+        (tmp_path / form).mkdir()
+        build = _brat_case({"moldavia/a.txt": form_text, "moldavia/a.ann": ann})
+        assert run(build(tmp_path / form, None)) == 0
+        converted.append((tmp_path / form / "o" / "corpus.jsonl").read_bytes())
+    assert converted[0] == converted[1]
+    record = json.loads(converted[0])
+    assert record["tokens"] == ["Ia\u0219i", "\u0219i", "Bra\u0219ov", ",", "\u00een", "\u0163ara",
+                                "Rom\u00e2neasc\u0103", "."]
+    assert record["tags"] == ["B-LOCATION", "O", "B-LOCATION", "O", "O", "O", "O", "O"]
 
 
 def _split_file(tmp_path, corpus_file):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import logging
 
@@ -47,7 +46,7 @@ from reference_ops import is_valid_iob
 class TestParseBrat:
     def test_single_span(self):
         spans = parse_brat("Mihai merge.", "T1\tPERSON 0 5\tMihai")
-        assert spans == [RawSpan(EntityLabel.PERSON, 0, 5, "Mihai")]
+        assert spans == [RawSpan(EntityLabel.PERSON, 0, 5, "Mihai", 1)]
 
     def test_empty_annotation_file(self):
         assert parse_brat("abc", "") == []
@@ -124,28 +123,38 @@ class TestTokenize:
     @pytest.mark.parametrize("text, expected", [
         ("a_b", [("a", 0, 1), ("_", 1, 2), ("b", 2, 3)]),
         ("x\u00b2\u0663", [("x\u00b2\u0663", 0, 3)]),
-        # a combining mark is not alphanumeric, so it stands alone
-        ("s\u0326a", [("s", 0, 1), ("\u0326", 1, 2), ("a", 2, 3)]),
+        # a combining mark joins the letter or digit before it, else stands alone
+        ("s\u0326a", [("s\u0326a", 0, 3)]),
         ("a\tb\r\nc\u00a0d", [("a", 0, 1), ("b", 2, 3), ("c", 5, 6), ("d", 7, 8)]),
+        ("-\u0326 \u0301a_\u0300", [("-", 0, 1), ("\u0326", 1, 2), ("\u0301", 3, 4),
+                                      ("a", 4, 5), ("_", 5, 6), ("\u0300", 6, 7)]),
     ], ids=["underscore", "superscript and Arabic-Indic digits", "combining mark",
-            "tab, CRLF and no-break space"])
+            "tab, CRLF and no-break space", "combining mark after no letter"])
     def test_character_classes(self, text, expected):
         assert [(t.text, t.start, t.end) for t in tokenize(text)] == expected
 
 
+#: The combining-mark blocks whose marks join the letter or digit before them.
+_COMBINING = [(0x0300, 0x036F), (0x1AB0, 0x1AFF), (0x1DC0, 0x1DFF), (0x20D0, 0x20FF),
+              (0xFE20, 0xFE2F)]
+
+
 def _defined_tokens(text):
-    """The tokenizer's docstring as code: maximal ``str.isalnum`` runs, and
-    every other character that is not ``str.isspace`` on its own, each with
-    the offsets that slice it out of ``text``."""
-    def kind(item):
-        i, ch = item
-        return "alnum" if ch.isalnum() else "space" if ch.isspace() else i
-    tokens = []
-    for key, group in itertools.groupby(enumerate(text), kind):
-        if key != "space":
-            positions = [i for i, _ in group]
-            start, end = positions[0], positions[-1] + 1
-            tokens.append((text[start:end], start, end))
+    """The tokenizer's docstring as code: maximal runs of ``str.isalnum``
+    characters, each with the combining marks after it, and every other
+    character that is not ``str.isspace`` on its own, each with the offsets
+    that slice it out of ``text``."""
+    def is_mark(ch):
+        return any(lo <= ord(ch) <= hi for lo, hi in _COMBINING)
+    tokens, start = [], None  # start: where the open run of letters and digits began
+    for i, ch in enumerate(text + " "):
+        if start is not None and (ch.isalnum() or is_mark(ch)):
+            continue
+        if start is not None:
+            tokens.append((text[start:i], start, i))
+        start = i if ch.isalnum() else None
+        if start is None and not ch.isspace():
+            tokens.append((ch, i, i + 1))
     return tokens
 
 
@@ -163,12 +172,12 @@ def _brute_force_window(tokens, raw):
 class TestAlignSpans:
     def test_exact_boundaries(self):
         tokens = tokenize("Ion Popescu vine")
-        spans = align_spans(tokens, [RawSpan(EntityLabel.PERSON, 0, 11, "Ion Popescu")])
+        spans = align_spans(tokens, [RawSpan(EntityLabel.PERSON, 0, 11, "Ion Popescu", 1)])
         assert (spans[0].first_token, spans[0].last_token) == (0, 1)
 
     def test_expansion_inside_token(self):
         tokens = tokenize("Ion Popescu vine")
-        spans = align_spans(tokens, [RawSpan(EntityLabel.PERSON, 4, 7, "Pop")])
+        spans = align_spans(tokens, [RawSpan(EntityLabel.PERSON, 4, 7, "Pop", 1)])
         assert (spans[0].first_token, spans[0].last_token) == (1, 1)
 
     def test_expansion_matches_brute_force(self):
@@ -179,7 +188,7 @@ class TestAlignSpans:
             a, b = sorted(rng.integers(0, len(text), size=2))
             if a == b or text[a:b].strip() == "":
                 continue
-            raw = RawSpan(EntityLabel.DATE, int(a), int(b), text[a:b])
+            raw = RawSpan(EntityLabel.DATE, int(a), int(b), text[a:b], 1)
             expected = _brute_force_window(tokens, raw)
             if expected is None:
                 with pytest.raises(AlignmentError):
@@ -191,8 +200,8 @@ class TestAlignSpans:
     def test_overlapping_windows_rejected(self):
         tokens = tokenize("Ion Popescu vine")
         raws = [
-            RawSpan(EntityLabel.PERSON, 0, 11, "Ion Popescu"),
-            RawSpan(EntityLabel.LOCATION, 4, 15, "Popescu vin"),
+            RawSpan(EntityLabel.PERSON, 0, 11, "Ion Popescu", 1),
+            RawSpan(EntityLabel.LOCATION, 4, 15, "Popescu vin", 2),
         ]
         with pytest.raises(AlignmentError):
             align_spans(tokens, raws)
@@ -200,23 +209,33 @@ class TestAlignSpans:
     def test_span_in_whitespace_only(self):
         tokens = tokenize("a  b")
         with pytest.raises(AlignmentError):
-            align_spans(tokens, [RawSpan(EntityLabel.DATE, 1, 2, " ")])
+            align_spans(tokens, [RawSpan(EntityLabel.DATE, 1, 2, " ", 1)])
 
 
 class TestSpanConflicts:
+    # align_spans rejects the first nested or overlapping pair of token
+    # windows, naming both spans by their .ann line, label and offsets
+    TOKENS = tokenize("a b c d e")
+
     def test_nested_pair_is_one_violation(self):
-        spans = [EntitySpan(EntityLabel.PERSON, 0, 3), EntitySpan(EntityLabel.DATE, 1, 2)]
-        conflicts = C.span_conflicts(spans)
-        assert len(conflicts) == 1
-        assert "nested" in conflicts[0]
+        raws = [RawSpan(EntityLabel.PERSON, 0, 7, "a b c d", 1),
+                RawSpan(EntityLabel.DATE, 2, 5, "b c", 2)]
+        with pytest.raises(AlignmentError, match=r"violate the no-nesting rule: nested spans, "
+                           r"line 1 PERSON \[0, 7\) and line 2 DATE \[2, 5\)$"):
+            align_spans(self.TOKENS, raws)
 
     def test_overlap_reported(self):
-        spans = [EntitySpan(EntityLabel.PERSON, 0, 2), EntitySpan(EntityLabel.DATE, 2, 4)]
-        assert len(C.span_conflicts(spans)) == 1
+        raws = [RawSpan(EntityLabel.PERSON, 4, 9, "c d e", 3),
+                RawSpan(EntityLabel.DATE, 0, 5, "a b c", 5)]
+        with pytest.raises(AlignmentError, match=r"overlapping spans, "
+                           r"line 5 DATE \[0, 5\) and line 3 PERSON \[4, 9\)$"):
+            align_spans(self.TOKENS, raws)
 
     def test_disjoint_clean(self):
-        spans = [EntitySpan(EntityLabel.PERSON, 0, 1), EntitySpan(EntityLabel.DATE, 2, 2)]
-        assert C.span_conflicts(spans) == []
+        raws = [RawSpan(EntityLabel.PERSON, 0, 3, "a b", 1),
+                RawSpan(EntityLabel.DATE, 4, 5, "c", 2)]
+        assert [s.key for s in align_spans(self.TOKENS, raws)] == [
+            (EntityLabel.PERSON, 0, 1), (EntityLabel.DATE, 2, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +326,7 @@ class TestIobProperties:
         repaired = encode_iob(spans, len(tags))
         assert is_valid_iob(repaired)
         assert span_keys(decode_iob(repaired)) == span_keys(spans)
-        assert C.span_conflicts(decode_iob(tags)) == []
+        assert all(a.last_token < b.first_token for a, b in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +675,8 @@ class TestHistneroAdapter:
         (json.dumps({**_RELEASE_ROW, "region": "Atlantis"}), "line 3: unknown region 'Atlantis'"),
         (json.dumps({**_RELEASE_ROW, "id": "valid-00000", "year": 1900}),
          "line 3: document 'valid-00000' has year 1900, but None at line 1"),
-    ], ids=["invalid JSON", "unknown region", "document years disagree"])
+        (json.dumps({"ner_tags": [1, 0], "region": "Moldavia"}), "line 3: no 'tokens' field"),
+    ], ids=["invalid JSON", "unknown region", "document years disagree", "no tokens"])
     def test_bad_line_names_its_file_line(self, tmp_path, bad_line, message):
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")

@@ -181,6 +181,11 @@ class TestTokenAccuracy:
         with pytest.raises(DataError):
             token_accuracy([["O", "O"]], [["O"]])
 
+    @pytest.mark.parametrize("tags", [[], [[]]], ids=["no sentences", "empty sentence"])
+    def test_no_tokens_rejected(self, tags):
+        with pytest.raises(DataError, match="no tokens to score"):
+            token_accuracy(tags, tags)
+
 
 @pytest.mark.parametrize("score", [token_accuracy, cohens_kappa])
 @pytest.mark.parametrize("a, b, message", [

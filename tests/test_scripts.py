@@ -36,15 +36,17 @@ def test_adaptation_benchmark():
 
 
 def test_source_loc():
-    lines = run_script("source_loc.py")
-    counts = {name: int(n) for n, name in (line.split() for line in lines)}
-    files = {str(f.relative_to(ROOT)): f for f in (ROOT / "src" / "histner").rglob("*.py")}
-    assert counts.pop("total") == sum(counts.values())
-    assert counts == {
-        name: sum(1 for line in f.read_text().splitlines()
-                  if line.strip() and not line.lstrip().startswith("#"))
-        for name, f in files.items()
-    }
+    rows = [line.split("\t") for line in run_script("source_loc.py")]
+    for directory, files in (("src/histner", (ROOT / "src" / "histner").rglob("*.py")),
+                             ("tests", (ROOT / "tests").glob("*.py"))):
+        counts = {name: int(n) for n, name in rows if name.startswith(directory + "/")}
+        assert counts == {
+            str(f.relative_to(ROOT)): sum(1 for line in f.read_text().splitlines()
+                                          if line.strip() and not line.lstrip().startswith("#"))
+            for f in files
+        }
+        assert [int(n) for n, name in rows if name == f"total {directory}"] == [sum(counts.values())]
+    assert len(rows) == len({name for _, name in rows})
 
 
 def test_crossregion_matrix():

@@ -321,7 +321,8 @@ class TestAdam:
 
     def test_untouched_rows_only_decay(self):
         params = M.init_params(small_config())
-        state = T.AdamState()
+        held = np.array([3, 17, 40, 512])
+        state = T.AdamState(rows={M.EMBED: held})
         table = params.extractor["embed"]
         before = table.copy()
         rows = np.array([3, 17, 512])
@@ -331,8 +332,23 @@ class TestAdam:
         decayed = before - 0.1 * 0.01 * before
         assert np.array_equal(table[untouched], decayed[untouched])
         assert not np.array_equal(table[rows], decayed[rows])
-        assert state.touched[M.EMBED].tolist() == rows.tolist()
-        assert state.m[M.EMBED].shape == state.v[M.EMBED].shape == (3, SMALL["embed_dim"])
+        assert state.rows[M.EMBED] is held
+        assert state.m[M.EMBED].shape == state.v[M.EMBED].shape == (4, SMALL["embed_dim"])
+        assert not state.m[M.EMBED][2].any() and not state.v[M.EMBED][2].any()
+
+    @pytest.mark.parametrize("grad", [
+        np.ones((SMALL["vocab_size"] + 1, SMALL["embed_dim"])),
+        M.RowSparse(np.array([3, 4]), np.ones((2, SMALL["embed_dim"])), SMALL["vocab_size"] + 1),
+        M.RowSparse(np.array([600]), np.ones((1, SMALL["embed_dim"])), SMALL["vocab_size"] + 1),
+    ], ids=["dense", "row-between-held-rows", "row-past-held-rows"])
+    def test_gradient_outside_held_rows_rejected(self, grad):
+        params = M.init_params(small_config())
+        state = T.AdamState(rows={M.EMBED: np.array([3, 17, 512])})
+        before = params.extractor["embed"].copy()
+        with pytest.raises(DataError, match=r"gradient of .*embed.* outside its 3 held rows"):
+            T.adam_step(params, {M.EMBED: grad}, state, lr=0.1, weight_decay=0.01)
+        assert np.array_equal(params.extractor["embed"], before)
+        assert M.EMBED not in state.m
 
     def test_gradient_shape_mismatch_rejected(self):
         params, key, state = self._single(1.0)
@@ -377,6 +393,11 @@ class TestTrain:
     def test_empty_split_rejected(self):
         with pytest.raises(DataError):
             T.train([], [], small_config(), T.TrainConfig())
+
+    def test_empty_valid_split_rejected(self):
+        train_s, _, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        with pytest.raises(DataError, match="^empty valid split$"):
+            T.train(train_s, [], small_config(), T.TrainConfig(epochs=1))
 
     def test_baseline_solves_separable_corpus(self):
         # unambiguous single-token entities: memorization suffices
@@ -689,6 +710,21 @@ class TestInterRegional:
         with pytest.raises(DataError, match="region Wallachia has no validation sentences"):
             T.inter_regional(without, M.TaggerConfig(vocab_size=512, seed=0), T.TrainConfig(epochs=1))
 
+    def test_region_without_test_sentences_rejected_before_training(self, monkeypatch):
+        from histner.synthetic import RegionalConfig, regional_corpus
+
+        splits = regional_corpus(0, config=RegionalConfig(n_train_per_region=10,
+                                                          n_eval_per_region=4))
+        without = Splits(splits.train, splits.valid,
+                         [d for d in splits.test if d.region != Region.MOLDAVIA])
+
+        def fail(*args):
+            raise AssertionError("trained before the parts were checked")
+
+        monkeypatch.setattr(T, "train", fail)
+        with pytest.raises(DataError, match="region Moldavia has no evaluation sentences"):
+            T.inter_regional(without, M.TaggerConfig(vocab_size=512, seed=0), T.TrainConfig(epochs=1))
+
 
 class TestExportEmbeddings:
     def test_tsv_shape_and_determinism(self, tmp_path):
@@ -998,9 +1034,9 @@ def _reference_train(train_s, tagger_config, config):
 
 
 class TestRowSparseStepMatchesDenseReference:
-    # The corpus has 45 word types: at vocab 2048 Adam stays on the touched
-    # rows; at vocab 64 they pass half the table during the first epoch and
-    # Adam switches to the whole table.
+    # The corpus has 45 word types: at vocab 2048 Adam holds the rows the
+    # training windows read; at vocab 64 those are over half the table, and
+    # Adam updates the whole table from the first step.
     @pytest.mark.parametrize("mode", T.MODES)
     @pytest.mark.parametrize("vocab_size", [2048, 64], ids=["sparse", "sparse-then-dense"])
     def test_trained_parameters_bitwise(self, mode, vocab_size, monkeypatch):
@@ -1025,8 +1061,8 @@ class TestRowSparseStepMatchesDenseReference:
         for (key, got), (_, want) in zip(trained.items_flat(), reference.items_flat()):
             assert np.array_equal(got, want), key
         whole_table = updated.count(vocab_size + 1)
-        assert len(updated) == steps and whole_table < steps
-        assert (whole_table > 0) == (vocab_size == 64)
+        assert len(updated) == steps
+        assert whole_table == (steps if vocab_size == 64 else 0)
 
     @pytest.mark.parametrize("mode", T.MODES)
     def test_compute_losses_gradients_bitwise(self, mode):
@@ -1043,34 +1079,40 @@ class TestRowSparseStepMatchesDenseReference:
 
 class TestCompactMoments:
     def test_scattered_moments_match_dense_reference_every_step(self, monkeypatch):
-        # vocab 64: the touched rows pass half the table during the first
-        # epoch, so the moments go from compact to the table's shape
-        corpus = separable_corpus(6, n_sentences=60, vocab_size=64)
-        train_s, valid_s, _ = _split_sentences(corpus)
-        tagger_config = M.TaggerConfig(vocab_size=64, embed_dim=8, hidden_dim=16, seed=2)
-        config = T.TrainConfig(epochs=3, lr=5e-3, weight_decay=0.05, batch_size=8, seed=4)
-        shape = (tagger_config.vocab_size + 1, tagger_config.embed_dim)
-        reference = {"m": np.zeros(shape), "v": np.zeros(shape)}
-        compact = []
+        # vocab 2048: the moments are held for the rows the training windows
+        # read; vocab 64: those are over half the table, so the moments take
+        # the table's shape
         adam_step = T.adam_step
+        for vocab_size, compact in ((2048, True), (64, False)):
+            corpus = separable_corpus(6, n_sentences=60, vocab_size=vocab_size)
+            train_s, valid_s, _ = _split_sentences(corpus)
+            tagger_config = M.TaggerConfig(vocab_size=vocab_size, embed_dim=8, hidden_dim=16, seed=2)
+            config = T.TrainConfig(epochs=3, lr=5e-3, weight_decay=0.05, batch_size=8, seed=4)
+            shape = (tagger_config.vocab_size + 1, tagger_config.embed_dim)
+            reference = {"m": np.zeros(shape), "v": np.zeros(shape)}
+            read = np.unique(np.concatenate(
+                [s.windows.ravel() for s in T.encode_sentences(train_s, tagger_config)]))
+            steps = []
 
-        def spy(params, grads, state, lr, weight_decay=0.0):
-            adam_step(params, grads, state, lr, weight_decay)
-            g = grads[M.EMBED].dense()
-            reference["m"] = 0.9 * reference["m"] + (1 - 0.9) * g
-            reference["v"] = 0.999 * reference["v"] + (1 - 0.999) * g * g
-            rows = state.touched.get(M.EMBED)
-            for name in ("m", "v"):
-                held = getattr(state, name)[M.EMBED]
-                if rows is not None:
-                    assert len(held) == len(rows) <= T._SPARSE_SHARE * shape[0]
-                    held = M.RowSparse(rows, held, shape[0]).dense()
-                assert np.array_equal(held, reference[name]), (name, len(compact))
-            compact.append(rows is not None)
+            def spy(params, grads, state, lr, weight_decay=0.0):
+                adam_step(params, grads, state, lr, weight_decay)
+                g = grads[M.EMBED].dense()
+                reference["m"] = 0.9 * reference["m"] + (1 - 0.9) * g
+                reference["v"] = 0.999 * reference["v"] + (1 - 0.999) * g * g
+                rows = state.rows.get(M.EMBED)
+                assert (rows is not None) == compact
+                for name in ("m", "v"):
+                    held = getattr(state, name)[M.EMBED]
+                    if compact:
+                        assert np.array_equal(rows, read)
+                        assert len(held) == len(rows) <= T._SPARSE_SHARE * shape[0]
+                        held = M.RowSparse(rows, held, shape[0]).dense()
+                    assert np.array_equal(held, reference[name]), (name, vocab_size, len(steps))
+                steps.append(state.step)
 
-        monkeypatch.setattr(T, "adam_step", spy)
-        T.train(train_s, valid_s, tagger_config, config)
-        assert compact[0] and not compact[-1]
+            monkeypatch.setattr(T, "adam_step", spy)
+            T.train(train_s, valid_s, tagger_config, config)
+            assert steps == list(range(1, config.epochs * -(-len(train_s) // 8) + 1))
 
 
 class TestMemory:
