@@ -17,7 +17,10 @@ counts as one failed. Each side gets one empty bytecode cache
 modules a checkout's ``__pycache__`` holds, and one untimed warm-up run per
 side, before the pairs, compiles what that side imports; every timed run
 then reads compiled modules, as a run on installed bytecode does. The
-caches are removed at the end.
+caches are removed at the end. What a run without bytecode pays on top,
+inside ``setup_s``, is shown by one line per side: the time to compile
+that checkout's ``src/histner`` and ``perfbench`` sources, the least of 5
+passes of ``compile()``.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 """
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +63,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     result = parse_result(proc.stdout) if proc.returncode == 0 else None
     stderr = proc.stderr.strip().splitlines()
     return result, f"no result (exit {proc.returncode}: {stderr[-1] if stderr else 'no stderr'})"
+
+
+def compile_ms(checkout: Path) -> tuple[float, int]:
+    """The least time, in ms, that one of 5 passes takes to compile every
+    source of ``checkout``'s ``src/histner`` and ``perfbench``, and how many
+    sources there are."""
+    sources = [(path.read_text(encoding="utf-8"), str(path))
+               for directory in ("src/histner", "perfbench")
+               for path in sorted((checkout / directory).rglob("*.py"))]
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for text, name in sources:
+            compile(text, name, "exec")
+        best = min(best, time.perf_counter() - start)
+    return 1000 * best, len(sources)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -129,6 +149,10 @@ def main(argv=None) -> int:
             pairs.append(pair)
     print(f"workload {args.workload}  seed {args.seed}  pairs {args.pairs}  "
           f"seconds {bench['run_seconds']}")
+    for side in SIDES:
+        ms, n = compile_ms(checkouts[side])
+        print(f"compile {side}: {ms:.1f} ms for {n} sources of src/histner and perfbench "
+              "(min of 5 compile() passes)")
     print("\n".join(summarize(pairs, bench["end_to_end"])))
     return 0
 

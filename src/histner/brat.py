@@ -57,6 +57,10 @@ def load(path: str | Path, region: str | None = None) -> tuple[Corpus, list[Path
     A document's id is its file stem; its region is ``region``, else its
     directory's name. An error names its file relative to the directory.
     """
+    try:
+        given = Region.parse(region) if region else None
+    except DataError as exc:
+        raise DataError(f"--region: {exc}") from None
     path = Path(path)
     if path.is_dir():
         root, files = path, sorted([*path.rglob("*.txt"), *path.rglob("*.ann")])
@@ -81,10 +85,10 @@ def load(path: str | Path, region: str | None = None) -> tuple[Corpus, list[Path
         text, annotations = read_text(txt), read_text(ann)
         try:
             try:
-                doc_region = Region.parse(region or txt.parent.name)
+                doc_region = Region.parse(txt.parent.name) if given is None else given
             except DataError as exc:
-                raise exc if region else DataError(f"{exc}, taken from the name of its directory; "
-                                                   "give one with --region")
+                raise DataError(f"{exc}, taken from the name of its directory; "
+                                "give one with --region")
             docs.append(document_from_brat(txt.stem, doc_region, text, annotations))
         except HistnerError as exc:
             raise DataError(f"{ann.relative_to(root)}: {exc}") from exc

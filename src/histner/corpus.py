@@ -16,7 +16,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, Sequence
 
@@ -99,20 +98,12 @@ class EntitySpan:
     def key(self) -> tuple:
         return (self.label, self.first_token, self.last_token)
 
-    @property
-    def n_tokens(self) -> int:
-        return self.last_token - self.first_token + 1
-
 
 @dataclass
 class Sentence:
     tokens: list[str]
     tags: TagSequence
     region: Region
-
-    @cached_property
-    def spans(self) -> list[EntitySpan]:
-        return decode_iob(self.tags)
 
     @property
     def token_texts(self) -> list[str]:
@@ -161,32 +152,45 @@ def encode_iob(spans: Sequence[EntitySpan], n_tokens: int) -> TagSequence:
     return tags
 
 
-def decode_iob(tags: Sequence[str]) -> list[EntitySpan]:
-    """Decode any tag sequence over the 11-tag alphabet into spans.
+def tag_ids(tag_lists: Sequence[Sequence[str]]) -> np.ndarray:
+    """The ids of the tags of every list, flat, as int64; a tag outside the
+    alphabet is a ``TagError`` naming it and its position in its list."""
+    try:
+        return np.array([TAG_TO_ID[t] for tags in tag_lists for t in tags], dtype=np.int64)
+    except KeyError as exc:
+        at = next(list(tags).index(exc.args[0]) for tags in tag_lists if exc.args[0] in tags)
+        raise TagError(f"unknown tag {exc.args[0]!r} at position {at}") from None
 
-    A stray I-X (one with no open B-X/I-X run of the same label) starts a
-    new span, i.e. it is repaired as if it were B-X.
-    """
-    spans: list[EntitySpan] = []
-    open_label: EntityLabel | None = None
-    start = 0
-    for i, tag in enumerate(tags):
-        if tag not in TAG_TO_ID:
-            raise TagError(f"unknown tag {tag!r} at position {i}")
-        if tag == "O":
-            if open_label is not None:
-                spans.append(EntitySpan(open_label, start, i - 1))
-                open_label = None
-            continue
-        prefix, name = tag.split("-", 1)
-        label = EntityLabel[name]
-        if prefix == "B" or open_label != label:
-            if open_label is not None:
-                spans.append(EntitySpan(open_label, start, i - 1))
-            open_label, start = label, i
-    if open_label is not None:
-        spans.append(EntitySpan(open_label, start, len(tags) - 1))
-    return spans
+
+def iob_spans(ids: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Each span's sentence, label (its index in ``EntityLabel``), first and
+    last token, as four int64 arrays in text order, of the sentences of
+    ``lengths`` tokens whose tag ids are, end to end, ``ids``. A stray I-X
+    (one with no open B-X/I-X run of the same label) starts a new span, as
+    B-X would; no span crosses a sentence boundary."""
+    ids, lengths = np.asarray(ids, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if len(ids) != lengths.sum():
+        raise DataError(f"{len(ids)} tag ids for sentences of {int(lengths.sum())} tokens")
+    # B-X has an odd id and I-X the even id after it, so O's label is -1
+    label = (ids - 1) >> 1
+    before = np.roll(label, 1)
+    before[starts[starts < len(ids)]] = -1
+    inside = label >= 0
+    begins = inside & ((ids % 2 == 1) | (label != before))
+    goes_on = np.append((inside & ~begins)[1:], False)
+    first, last = np.flatnonzero(begins), np.flatnonzero(inside & ~goes_on)
+    sentence = np.searchsorted(ends, first, side="right")
+    return sentence, label[first], first - starts[sentence], last - starts[sentence]
+
+
+def decode_iob(tags: Sequence[str]) -> list[EntitySpan]:
+    """Decode any tag sequence over the 11-tag alphabet into spans, as
+    ``iob_spans`` does; an unknown tag is a ``TagError``."""
+    _, label, first, last = iob_spans(tag_ids([tags]), [len(tags)])
+    return [EntitySpan(list(EntityLabel)[l], f, t)
+            for l, f, t in zip(label.tolist(), first.tolist(), last.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +442,19 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Per (entity label, region) counts plus corpus totals."""
-    cells: dict[tuple[EntityLabel, Region], StatsCell] = {}
-    n_sentences = 0
-    n_tokens = 0
-    for doc in corpus:
-        for sent in doc.sentences:
-            n_sentences += 1
-            n_tokens += len(sent.tokens)
-            for span in sent.spans:
-                cell = cells.setdefault((span.label, sent.region), StatsCell())
-                cell.entities += 1
-                cell.entity_tokens += span.n_tokens
-    return CorpusStats(
-        n_documents=len(corpus),
-        n_sentences=n_sentences,
-        n_tokens=n_tokens,
-        cells=cells,
-    )
+    """Per (entity label, region) counts plus corpus totals; the cells are
+    in the order of their first span."""
+    sentences = list(iter_sentences(corpus))
+    sentence, label, first, last = iob_spans(tag_ids([s.tags for s in sentences]),
+                                             [len(s.tags) for s in sentences])
+    labels = list(EntityLabel)
+    cell = np.array([s.region for s in sentences], dtype=np.int64)[sentence] * len(labels) + label
+    entities, entity_tokens = np.bincount(cell), np.bincount(cell, weights=last - first + 1)
+    cells = {(labels[c % len(labels)], Region(c // len(labels))):
+             StatsCell(entity_tokens=int(entity_tokens[c]), entities=int(entities[c]))
+             for c in cell[np.sort(np.unique(cell, return_index=True)[1])].tolist()}
+    return CorpusStats(n_documents=len(corpus), n_sentences=len(sentences),
+                       n_tokens=sum(len(s.tokens) for s in sentences), cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ precision, recall, and F1 fall back to 0 when their denominator is 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import (Document, EntityLabel, EntitySpan, Region, Sentence, TAG_ALPHABET,
-                     TAG_TO_ID, format_table)
+                     format_table, iob_spans, tag_ids)
 from .errors import DataError
 
 
@@ -61,33 +60,25 @@ class StrictF1Report:
         )
 
 
-#: Where a label's [tp, fp, fn] cells start in a sentence's flat count row.
-_LABEL_CELL = {label: 3 * i for i, label in enumerate(EntityLabel)}
-
-
-def span_counts(
-    gold: Sequence[Sequence[EntitySpan]], pred: Sequence[Sequence[EntitySpan]]
-) -> np.ndarray:
-    """Strict-match counts of aligned sentence lists, shape (sentences,
-    labels, 3) with columns tp, fp, fn: a predicted span that takes an
-    unmatched gold span with its (label, first, last) key is a tp, else an
-    fp; gold spans left unmatched are fns. A group sums its rows."""
-    if len(gold) != len(pred):
-        raise DataError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
-    rows = []
-    for g_sent, p_sent in zip(gold, pred):
-        unmatched = Counter(s.key for s in g_sent)
-        row = [0] * (3 * len(EntityLabel))
-        for span in p_sent:
-            if unmatched[span.key] > 0:
-                unmatched[span.key] -= 1
-                row[_LABEL_CELL[span.label]] += 1
-            else:
-                row[_LABEL_CELL[span.label] + 1] += 1
-        for (label, _, _), n in unmatched.items():
-            row[_LABEL_CELL[label] + 2] += n
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(EntityLabel), 3)
+def span_counts(gold: Sequence[np.ndarray], pred: Sequence[np.ndarray],
+                n_sentences: int) -> np.ndarray:
+    """Strict-match counts of gold and predicted spans of ``n_sentences``
+    sentences, each as ``iob_spans`` gives them, shape (sentences, labels,
+    3) with columns tp, fp, fn; a group sums its rows. A (sentence, label,
+    first, last) key that gold holds g times and pred p times, a multiset
+    match, gives tp = min(g, p), fp = p - tp and fn = g - tp."""
+    keys = np.stack([np.concatenate(c) for c in zip(gold, pred)])
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    # where each run of equal keys starts, in key order
+    runs = np.flatnonzero(np.diff(keys, axis=1, prepend=-1).any(axis=0))
+    g = np.add.reduceat((order < len(gold[0])).astype(np.int64), runs)
+    p = np.diff(np.append(runs, len(order))) - g
+    tp = np.minimum(g, p)
+    counts = np.zeros((n_sentences * len(EntityLabel), 3), dtype=np.int64)
+    np.add.at(counts, keys[0, runs] * len(EntityLabel) + keys[1, runs],
+              np.stack([tp, p - tp, g - tp], axis=1))
+    return counts.reshape(n_sentences, len(EntityLabel), 3)
 
 
 def strict_f1(
@@ -95,7 +86,14 @@ def strict_f1(
 ) -> StrictF1Report:
     """Micro-averaged strict F1 over aligned sentence lists, plus one PRF
     per entity label computed on that label's spans only."""
-    return StrictF1Report.from_counts(span_counts(gold, pred).sum(axis=0))
+    if len(gold) != len(pred):
+        raise DataError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
+    index = {label: i for i, label in enumerate(EntityLabel)}
+    # each side's spans as iob_spans gives them
+    sides = [np.array([(i, index[s.label], s.first_token, s.last_token)
+                       for i, spans in enumerate(side) for s in spans],
+                      dtype=np.int64).reshape(-1, 4).T for side in (gold, pred)]
+    return StrictF1Report.from_counts(span_counts(*sides, len(gold)).sum(axis=0))
 
 
 def _tag_ids(
@@ -220,13 +218,11 @@ def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> Agreemen
         sents_a += da.sentences
         sents_b += db.sentences
 
-    # decoding before the id lookup keeps decode_iob's TagError for a tag
-    # outside the alphabet
-    counts = span_counts([s.spans for s in sents_a], [s.spans for s in sents_b])
-    a, b = (np.array([TAG_TO_ID[t] for s in sents for t in s.tags], dtype=np.int64)
-            for sents in (sents_a, sents_b))
+    a, b = (tag_ids([s.tags for s in sents]) for sents in (sents_a, sents_b))
+    lengths = [len(s.tags) for s in sents_a]
+    counts = span_counts(iob_spans(a, lengths), iob_spans(b, lengths), len(sents_a))
     regions = np.array([s.region for s in sents_a], dtype=np.int64)
-    token_regions = np.repeat(regions, np.array([len(s.tags) for s in sents_a], dtype=np.int64))
+    token_regions = np.repeat(regions, np.array(lengths, dtype=np.int64))
     f1 = StrictF1Report.from_counts(counts.sum(axis=0))
     overall = AgreementCell(kappa=_kappa(a, b), pairwise_f1=f1.overall)
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import (Region, Sentence, TAG_ALPHABET, TAG_TO_ID, check_config, decode_iob,
-                     format_table, iter_sentences)
+from .corpus import (Region, Sentence, TAG_ALPHABET, TAG_TO_ID, check_config, format_table,
+                     iob_spans, iter_sentences)
 from .errors import ConfigError, DataError, HistnerError, TagError, TrainingError
 from .metrics import PRF, StrictF1Report, span_counts
 
@@ -384,20 +384,21 @@ class EvalReport:
         return region_table + "\n\n" + label_table
 
 
-def _score(encoded: Sequence[EncodedSentence], gold_spans: list, tag_ids: list[np.ndarray]) -> EvalReport:
-    """Score predicted tag ids against the encoded gold tags and the gold
-    spans: each sentence's span counts and matched tokens are taken once,
-    then summed per region and overall."""
-    counts = span_counts(gold_spans, [decode_iob([TAG_ALPHABET[i] for i in ids]) for ids in tag_ids])
-    tokens = np.array([[int((ids == s.tag_ids).sum()), len(s)] for ids, s in zip(tag_ids, encoded)])
-    regions = np.array([s.region_id for s in encoded])
+def _score(encoded: Sequence[EncodedSentence], tag_ids: list[np.ndarray]) -> EvalReport:
+    """Score predicted tag ids against the encoded gold tags: spans and matched tokens are
+    counted once, per sentence and per token, then summed per region and overall."""
+    lengths = [len(s) for s in encoded]
+    gold, pred = np.concatenate([s.tag_ids for s in encoded]), np.concatenate(tag_ids)
+    counts = span_counts(iob_spans(gold, lengths), iob_spans(pred, lengths), len(encoded))
+    matched = gold == pred
+    regions, token_regions = np.array([s.region_id for s in encoded]), _region_ids(encoded)
 
-    def score(rows) -> tuple[float, StrictF1Report]:
-        matched, total = tokens[rows].sum(axis=0).tolist()
-        return matched / total, StrictF1Report.from_counts(counts[rows].sum(axis=0))
+    def score(sents, tokens) -> tuple[float, StrictF1Report]:
+        return (np.count_nonzero(matched[tokens]) / len(matched[tokens]),
+                StrictF1Report.from_counts(counts[sents].sum(axis=0)))
 
-    by_region = {r: score(regions == r) for r in Region if (regions == r).any()}
-    accuracy, report = score(slice(None))
+    by_region = {r: score(regions == r, token_regions == r) for r in Region if (regions == r).any()}
+    accuracy, report = score(slice(None), slice(None))
     return EvalReport(
         per_region={r: RegionScore(accuracy=a, f1=f.overall) for r, (a, f) in by_region.items()},
         per_label={l.name: p for l, p in report.per_label.items()},
@@ -412,7 +413,7 @@ def evaluate(params: m.TaggerParams, sentences: Sequence[Sentence]) -> EvalRepor
     if not sentences:
         raise DataError("empty evaluation subset")
     encoded = encode_sentences(sentences, params.config)
-    return _score(encoded, [s.spans for s in sentences], predict_encoded(params, encoded))
+    return _score(encoded, predict_encoded(params, encoded))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +448,6 @@ def train(
     params = m.init_params(tagger_config)
     encoded = encode_sentences(train_sentences, tagger_config)
     valid_encoded = encode_sentences(valid_sentences, tagger_config)
-    valid_spans = [s.spans for s in valid_sentences]
     valid_tokens = sum(len(s) for s in valid_encoded)
     # every row a batch can read is known before the first step
     read = np.unique(np.concatenate([s.windows for s in encoded]))
@@ -478,7 +478,7 @@ def train(
             epoch_tokens += n_tok
         try:
             tag_ids, domain_correct = _predict(params, valid_encoded)
-            valid_report = _score(valid_encoded, valid_spans, tag_ids)
+            valid_report = _score(valid_encoded, tag_ids)
         except HistnerError as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         l_y = epoch_ly / epoch_tokens

@@ -8,6 +8,9 @@ table gradient row-sparse. ``mul`` adds the node-by-node product to the
 engine's product with a scalar. ``finite_difference_check`` is the central
 finite-difference oracle for every gradient. ``is_valid_iob`` is the oracle
 for the IOB2 sequences that ``encode_iob`` repairs and the generators emit.
+``decode_iob`` walks the tags one at a time and ``span_counts`` matches
+spans with a ``Counter``, the loops that ``corpus.iob_spans`` and
+``metrics.span_counts`` replaced.
 
 Gradients follow the engine's rule (a gradient is its first contribution;
 later ones are added out of place), so an op that must scatter in place
@@ -16,6 +19,7 @@ tests use, so ``import reference_ops as ad`` gives one namespace for the
 whole graph.
 """
 
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,8 +40,8 @@ from histner.autodiff import (
     sub,
     tanh,
 )
-from histner.corpus import TAG_TO_ID
-from histner.errors import ShapeError
+from histner.corpus import TAG_TO_ID, EntityLabel, EntitySpan
+from histner.errors import DataError, ShapeError, TagError
 
 
 def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
@@ -143,3 +147,53 @@ def is_valid_iob(tags: Sequence[str]) -> bool:
             return False
         prev = tag
     return True
+
+
+def decode_iob(tags: Sequence[str]) -> list[EntitySpan]:
+    """Spans of a tag sequence, one tag at a time; a stray I-X (one with no
+    open B-X/I-X run of the same label) starts a new span, as B-X would."""
+    spans: list[EntitySpan] = []
+    open_label: EntityLabel | None = None
+    start = 0
+    for i, tag in enumerate(tags):
+        if tag not in TAG_TO_ID:
+            raise TagError(f"unknown tag {tag!r} at position {i}")
+        if tag == "O":
+            if open_label is not None:
+                spans.append(EntitySpan(open_label, start, i - 1))
+                open_label = None
+            continue
+        prefix, name = tag.split("-", 1)
+        label = EntityLabel[name]
+        if prefix == "B" or open_label != label:
+            if open_label is not None:
+                spans.append(EntitySpan(open_label, start, i - 1))
+            open_label, start = label, i
+    if open_label is not None:
+        spans.append(EntitySpan(open_label, start, len(tags) - 1))
+    return spans
+
+
+def span_counts(gold: Sequence[Sequence[EntitySpan]],
+                pred: Sequence[Sequence[EntitySpan]]) -> np.ndarray:
+    """Strict-match counts of aligned per-sentence span lists, shape
+    (sentences, labels, 3) with columns tp, fp, fn: a predicted span that
+    takes an unmatched gold span with its (label, first, last) key is a tp,
+    else an fp; gold spans left unmatched are fns."""
+    if len(gold) != len(pred):
+        raise DataError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
+    cell = {label: 3 * i for i, label in enumerate(EntityLabel)}
+    rows = []
+    for g_sent, p_sent in zip(gold, pred):
+        unmatched = Counter(s.key for s in g_sent)
+        row = [0] * (3 * len(EntityLabel))
+        for span in p_sent:
+            if unmatched[span.key] > 0:
+                unmatched[span.key] -= 1
+                row[cell[span.label]] += 1
+            else:
+                row[cell[span.label] + 1] += 1
+        for (label, _, _), n in unmatched.items():
+            row[cell[label] + 2] += n
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(EntityLabel), 3)

@@ -261,13 +261,13 @@ class TestCrossRegion:
 _RECORD = {"doc_id": "d", "region": "Moldavia", "tokens": ["Ion", "vine"], "tags": ["B-PERSON", "O"]}
 
 
-def _jsonl_case(*records):
-    """Build a ``validate`` run on a JSONL file holding the given lines."""
+def _jsonl_case(*records, command="validate"):
+    """Build a ``command`` run on a JSONL file holding the given lines."""
     def build(tmp_path, corpus_file):
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(
             (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
-        return ["validate", "--input", path]
+        return [command, "--input", path]
     return build
 
 
@@ -504,6 +504,12 @@ MALFORMED = {
     "iaa layers differ in token text": (
         _iaa_case(lambda r: {**r, "tokens": [t + "x" for t in r["tokens"]]}),
         "document 'separable-000', sentence 1: token text, region or tag count differs"),
+    "iaa layer has an unknown tag": (
+        _iaa_case(lambda r: {**r, "tags": ["B-PERSONA", *r["tags"][1:]]}),
+        "error: unknown tag 'B-PERSONA' at position 0"),
+    "stats corpus has an unknown tag": (
+        _jsonl_case(_RECORD, {**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}, command="stats"),
+        "error: unknown tag 'I-PERSONA' at position 1"),
     "iaa layers differ in region": (
         _iaa_case(lambda r: {**r, "region": "Wallachia"}),
         "document 'separable-000', sentence 1: token text, region or tag count differs"),
@@ -620,6 +626,10 @@ MALFORMED = {
         _brat_case({"in/x.txt": "Ion vine.\n", "in/x.ann": "T1\tPERSON 0 3\tIon\n"}),
         "error: in/x.ann: unknown region 'in', taken from the name of its directory; "
         "give one with --region"),
+    "BRAT --region names no region": (
+        _brat_case({"in/x.txt": "Ion vine.\n", "in/x.ann": "T1\tPERSON 0 3\tIon\n"},
+                   "--region", "Atlantis"),
+        "error: --region: unknown region 'Atlantis'"),
     "BRAT file input has a bad annotation": (
         _brat_case({"x.txt": "Ion vine.\n",
                     "x.ann": "T1\tPERSON 0 3\tIon\nT2\tPLACE 4 8\tvine\n"},

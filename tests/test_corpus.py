@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import logging
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from histner import cli
 from histner import corpus as C
 from histner import synthetic
 from histner.brat import RawSpan, align_spans, document_from_brat, parse_brat, tokenize
@@ -35,6 +41,7 @@ from histner.errors import (
     UnsupportedSpanError,
 )
 
+import reference_ops as ref
 from conftest import make_doc, make_sentence
 from reference_ops import is_valid_iob
 
@@ -284,7 +291,7 @@ class TestIob:
         ]
 
     def test_decode_unknown_tag(self):
-        with pytest.raises(TagError):
+        with pytest.raises(TagError, match="unknown tag 'B-THING' at position 1"):
             decode_iob(["O", "B-THING"])
 
     def test_alphabet_has_eleven_tags(self):
@@ -312,7 +319,38 @@ def span_sets(draw):
 tag_sequences = st.lists(st.sampled_from(TAG_ALPHABET), min_size=0, max_size=12)
 
 
+@st.composite
+def tag_id_sentences(draw):
+    """Up to eight sentences of up to six tag ids, some of them empty."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=8))
+    ids = draw(st.lists(st.integers(0, len(TAG_ALPHABET) - 1), min_size=sum(lengths),
+                        max_size=sum(lengths)))
+    return np.array(ids, dtype=np.int64), lengths
+
+
+def _ids(*tags):
+    return np.array([TAG_ALPHABET.index(t) for t in tags], dtype=np.int64)
+
+
 class TestIobProperties:
+    @given(tag_id_sentences())
+    @example((_ids("B-PERSON", "I-PERSON", "I-PERSON"), [1, 0, 2]))  # a run cut by sentences
+    @example((_ids("I-DATE", "B-DATE", "B-DATE", "I-DATE"), [4]))  # stray I-, adjacent B-
+    @example((_ids("B-PERSON", "I-DATE", "I-PERSON", "O", "I-LOCATION"), [0, 5, 0]))  # switches
+    @settings(max_examples=120, deadline=None)
+    def test_iob_spans_equal_per_tag_decoder(self, case):
+        ids, lengths = case
+        labels = list(EntityLabel)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        expected = [(i, labels.index(s.label), s.first_token, s.last_token)
+                    for i, (lo, hi) in enumerate(zip(ends - lengths, ends))
+                    for s in ref.decode_iob([TAG_ALPHABET[t] for t in ids[lo:hi]])]
+        assert list(zip(*(a.tolist() for a in C.iob_spans(ids, lengths)))) == expected
+
+    def test_iob_spans_lengths_must_cover_the_ids(self):
+        with pytest.raises(DataError, match="3 tag ids for sentences of 2 tokens"):
+            C.iob_spans(_ids("O", "B-DATE", "O"), [1, 1])
+
     @given(span_sets())
     @settings(max_examples=300)
     def test_decode_encode_roundtrip(self, case):
@@ -538,6 +576,17 @@ class TestCorpusStats:
             assert total.entities == sum(c.entities for c in by_region)
             assert total.entity_tokens == sum(c.entity_tokens for c in by_region)
 
+    def test_unknown_tag_rejected(self, tiny_corpus):
+        tiny_corpus[2].sentences[0].tags[1] = "B-ORG"
+        with pytest.raises(TagError, match="unknown tag 'B-ORG' at position 1"):
+            corpus_stats(tiny_corpus)
+
+    def test_cells_in_order_of_first_span(self, tiny_corpus):
+        assert list(corpus_stats(tiny_corpus).cells) == [
+            (EntityLabel.PERSON, Region.TRANSYLVANIA), (EntityLabel.LOCATION, Region.TRANSYLVANIA),
+            (EntityLabel.DATE, Region.WALLACHIA), (EntityLabel.LOCATION, Region.WALLACHIA),
+            (EntityLabel.ORGANISATION, Region.BESSARABIA)]
+
     def test_sentence_and_token_counts(self, tiny_corpus):
         stats = corpus_stats(tiny_corpus)
         assert stats.n_sentences == 3
@@ -627,6 +676,86 @@ class TestBratDocument:
         doc = document_from_brat("d", Region.MOLDAVIA, text, "T1\tPERSON 0 3\tIon")
         assert [s.tokens for s in doc.sentences] == [["Ion", "vine"], ["la", "Iasi"]]
         assert [s.tags for s in doc.sentences] == [["B-PERSON", "O"], ["O", "O"]]
+
+
+#: Words with Romanian diacritics, in NFC (comma-below and cedilla forms
+#: both), a number and punctuation; and what may stand between them on a
+#: line, where U+2028, U+0085 and U+00A0 are whitespace that ends no line.
+_BRAT_WORDS = ["Ia\u0219i", "Bra\u0219ov", "\u021bara", "\u0163ara", "Rom\u00e2neasc\u0103",
+               "\u00een", "\u015fi", "anul", "1848", ",", "."]
+_BRAT_GAPS = ["", " ", "\u2028", "\x85", "\u00a0", " \u00a0 "]
+
+
+@st.composite
+def brat_documents(draw):
+    """NFC text of one to four lines, some of them blank, and spans as
+    (label, start, end) character ranges, each within one line and apart
+    from the others. A span starts and ends at a word's edge or anywhere,
+    so it may cut into a word, cover only whitespace, or reach the token
+    of another span."""
+    text, spans = "", []
+    for _ in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(_BRAT_WORDS), max_size=4))
+        gaps = draw(st.lists(st.sampled_from(_BRAT_GAPS), min_size=len(words) + 1,
+                             max_size=len(words) + 1))
+        edges, line = {0}, gaps[0]
+        for word, gap in zip(words, gaps[1:]):
+            edges |= {len(line), len(line) + len(word)}
+            line += word + gap
+        word_edge = st.sampled_from(sorted(edges))
+        at = st.one_of(word_edge, word_edge, st.integers(0, len(line)))
+        points = sorted(draw(st.sets(at, min_size=min(2, len(line) + 1), max_size=4)))
+        for start, end in zip(points[::2], points[1::2]):
+            spans.append((draw(st.sampled_from(list(EntityLabel))), len(text) + start,
+                          len(text) + end))
+        text += line + "\n"
+    return text, spans
+
+
+def _brat_pair(text, spans, form, newline):
+    """The ``.txt`` and ``.ann`` of NFC ``text`` and its spans, in Unicode
+    ``form`` with lines ended by ``newline``, the offsets counted anew."""
+    pieces = [unicodedata.normalize(form, ch).replace("\n", newline) for ch in text]
+    at = np.cumsum([0] + [len(p) for p in pieces]).tolist()
+    txt = "".join(pieces)
+    ann = "".join(f"T{n}\t{label.name} {at[a]} {at[b]}\t{txt[at[a]:at[b]]}{newline}"
+                  for n, (label, a, b) in enumerate(spans, start=1))
+    return txt, ann
+
+
+def _convert_brat(root: Path, txt: str, ann: str) -> tuple[int, str, bytes | None]:
+    """``histner convert`` of the pair in ``root``: the exit code, stderr and
+    the ``corpus.jsonl`` written, if any."""
+    (root / "moldavia").mkdir(parents=True)
+    for name, content in (("a.txt", txt), ("a.ann", ann)):
+        (root / "moldavia" / name).write_text(content, encoding="utf-8", newline="")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["convert", "--from", "brat", "--to", "jsonl", "--input",
+                         str(root / "moldavia"), "--out", str(root / "o")])
+    out = root / "o" / "corpus.jsonl"
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+class TestBratInvariance:
+    @given(brat_documents())
+    @settings(max_examples=30, deadline=None)
+    def test_nfd_and_crlf_forms_convert_as_the_nfc_lf_form(self, document):
+        text, spans = document
+        with tempfile.TemporaryDirectory() as tmp:
+            results = [_convert_brat(Path(tmp) / f"{form}-{len(newline)}",
+                                     *_brat_pair(text, spans, form, newline))
+                       for form, newline in (("NFC", "\n"), ("NFD", "\n"), ("NFC", "\r\n"))]
+        (code, err, converted), others = results[0], results[1:]
+        for other_code, other_err, other_converted in results:
+            assert other_code in (0, 1) and "Traceback" not in other_err
+            if other_code == 1:
+                assert len([l for l in other_err.splitlines() if l.startswith("error:")]) == 1
+        assert [other[0] for other in others] == [code, code]
+        if code == 0:
+            assert [other[2] for other in others] == [converted, converted]
+            tags = [t for line in converted.decode().splitlines() for t in json.loads(line)["tags"]]
+            assert sum(t.startswith("B-") for t in tags) == len(spans)
 
 
 _RELEASE_ROW = {"tokens": ["Ion", "merge"], "ner_tags": [1, 0], "region": "Moldavia"}

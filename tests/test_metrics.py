@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histner.corpus import EntityLabel, EntitySpan, Region, TAG_ALPHABET, decode_iob
-from histner.errors import DataError
+from histner.corpus import EntityLabel, EntitySpan, Region, TAG_ALPHABET, decode_iob, iob_spans
+from histner.errors import DataError, TagError
 from histner.metrics import (
     PRF,
+    StrictF1Report,
     cohens_kappa,
     iaa_report,
+    span_counts,
     strict_f1,
     token_accuracy,
 )
 
+import reference_ops as ref
 from conftest import make_doc, make_sentence
 
 
@@ -163,6 +166,59 @@ class TestStrictF1Properties:
         assert before == after
 
 
+@st.composite
+def gold_and_pred_ids(draw):
+    """Up to eight sentences of up to six tags, some of them empty, as a
+    gold and a predicted flat tag-id array; a predicted id is the gold one
+    or any other, so that spans often match and often just miss."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=8))
+    tag_id = st.integers(0, len(TAG_ALPHABET) - 1)
+    gold = draw(st.lists(tag_id, min_size=sum(lengths), max_size=sum(lengths)))
+    pred = [g if p is None else p
+            for g, p in zip(gold, draw(st.lists(st.none() | tag_id, min_size=len(gold),
+                                                max_size=len(gold))))]
+    return np.array(gold, dtype=np.int64), np.array(pred, dtype=np.int64), lengths
+
+
+def _per_tag_spans(ids, lengths):
+    """Each sentence's spans from the per-tag reference decoder."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return [ref.decode_iob([TAG_ALPHABET[i] for i in ids[lo:hi]])
+            for lo, hi in zip(ends - lengths, ends)]
+
+
+#: Spans over four tokens and two labels, so that drawn lists hold
+#: duplicate, nested and overlapping spans.
+_small_spans = st.tuples(st.sampled_from([P, D]), st.integers(0, 3), st.integers(0, 3)).map(
+    lambda t: EntitySpan(t[0], min(t[1], t[2]), max(t[1], t[2])))
+
+
+@st.composite
+def aligned_span_lists(draw):
+    n = draw(st.integers(0, 5))
+    span_list = st.lists(_small_spans, max_size=5)
+    return (draw(st.lists(span_list, min_size=n, max_size=n)),
+            draw(st.lists(span_list, min_size=n, max_size=n)))
+
+
+class TestSpanCountsOracle:
+    @given(gold_and_pred_ids())
+    @settings(max_examples=70, deadline=None)
+    def test_array_count_equals_counter_count(self, case):
+        gold, pred, lengths = case
+        counts = span_counts(iob_spans(gold, lengths), iob_spans(pred, lengths), len(lengths))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, ref.span_counts(_per_tag_spans(gold, lengths),
+                                                      _per_tag_spans(pred, lengths)))
+
+    @given(aligned_span_lists())
+    @settings(max_examples=70, deadline=None)
+    def test_strict_f1_of_any_span_lists_equals_counter_count(self, case):
+        gold, pred = case
+        expected = StrictF1Report.from_counts(ref.span_counts(gold, pred).sum(axis=0))
+        assert strict_f1(gold, pred) == expected
+
+
 class TestTokenAccuracy:
     def test_identical(self):
         assert token_accuracy([["O", "B-DATE"]], [["O", "B-DATE"]]) == 1.0
@@ -304,12 +360,12 @@ def _reference_iaa_f1(layer_a, layer_b):
     for region in Region:
         idx = [i for i, s in enumerate(sents_a) if s.region == region]
         if idx:
-            per_region[region] = strict_f1(
-                [sents_a[i].spans for i in idx], [sents_b[i].spans for i in idx]).overall
+            per_region[region] = strict_f1([decode_iob(sents_a[i].tags) for i in idx],
+                                           [decode_iob(sents_b[i].tags) for i in idx]).overall
     per_label = {
         label: strict_f1(
-            [[x for x in s.spans if x.label == label] for s in sents_a],
-            [[x for x in s.spans if x.label == label] for s in sents_b],
+            [[x for x in decode_iob(s.tags) if x.label == label] for s in sents_a],
+            [[x for x in decode_iob(s.tags) if x.label == label] for s in sents_b],
         ).overall
         for label in EntityLabel
     }
@@ -364,7 +420,7 @@ class TestIaaReport:
         assert {r: c.pairwise_f1 for r, c in report.per_region.items()} == per_region
         assert {l: c.pairwise_f1 for l, c in report.per_label.items()} == per_label
         assert report.overall.pairwise_f1 == strict_f1(
-            *([s.spans for d in layer for s in d.sentences] for layer in layers)).overall
+            *([decode_iob(s.tags) for d in layer for s in d.sentences] for layer in layers)).overall
 
     @given(annotation_layers())
     @settings(max_examples=100, deadline=None)
@@ -416,6 +472,15 @@ class TestIaaReport:
         b = [make_doc("d", [make_sentence(["anul", "1900"], ["O", "B-DATE"]),
                             make_sentence(["Ion", "merge"], ["B-PERSON"], Region.MOLDAVIA)])]
         with pytest.raises(DataError, match="document 'd', sentence 1: token text, region or tag"):
+            iaa_report(a, b)
+
+    @pytest.mark.parametrize("layer", ["a", "b"])
+    def test_unknown_tag_rejected(self, tiny_corpus, layer):
+        a, b = tiny_corpus, [make_doc(d.id, d.sentences) for d in tiny_corpus]
+        sentence = (a if layer == "a" else b)[1].sentences[0]
+        (a if layer == "a" else b)[1] = make_doc("doc-b", [make_sentence(
+            sentence.tokens, ["O", "B-DATE", "O", "B-LOC"], sentence.region)])
+        with pytest.raises(TagError, match="unknown tag 'B-LOC' at position 3"):
             iaa_report(a, b)
 
     def test_region_mismatch(self):

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,24 @@ def test_bench_pairs_says_why_a_run_gave_no_result(tmp_path, capsys):
     why = "no result (exit 2: workload w: no such workload)"
     assert out[:2] == [f"pair 0 parent: {why}", f"pair 0 change: {why}"]
     assert out[-2:] == ["parent: 1 failed / 1 attempted", "change: 1 failed / 1 attempted"]
+
+
+def test_bench_pairs_prints_each_sides_compile_time(tmp_path, capsys):
+    for side, n_package in (("parent", 1), ("change", 2)):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text("import sys\nsys.exit(2)\n")
+        (checkout / "src" / "histner").mkdir(parents=True)
+        for i in range(n_package):
+            (checkout / "src" / "histner" / f"m{i}.py").write_text("x = 1\n")
+    assert _bench_pairs().main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                "--workload", "w", "--seed", "0", "--pairs", "1"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("compile")]
+    # each side counts its package sources and perfbench's run.py
+    pattern = (r"compile (\w+): \d+\.\d ms for (\d+) sources of src/histner and perfbench "
+               r"\(min of 5 compile\(\) passes\)")
+    assert [re.fullmatch(pattern, line).groups() for line in lines] == [("parent", "2"),
+                                                                        ("change", "3")]
 
 
 def test_bench_pairs_gives_each_side_one_fresh_bytecode_cache(tmp_path, capsys, monkeypatch):

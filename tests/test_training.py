@@ -599,6 +599,11 @@ class TestEvaluate:
         with pytest.raises(DataError):
             T.evaluate(M.init_params(small_config()), [])
 
+    def test_unknown_tag_rejected(self):
+        sents = [make_sentence(["a", "b"], ["O", "O"]), make_sentence(["c", "d"], ["B-DATE", "I-DAT"])]
+        with pytest.raises(TagError, match="unknown tag 'I-DAT'"):
+            T.evaluate(M.init_params(small_config()), sents)
+
     def test_report_structure(self):
         corpus = separable_corpus(3, n_sentences=80, vocab_size=512)
         train_s, valid_s, _ = _split_sentences(corpus)
@@ -626,7 +631,7 @@ class TestEvaluate:
             gold = [sentences[i] for i in idx]
             pred = [predicted[i] for i in idx]
             return (token_accuracy([s.tags for s in gold], pred),
-                    strict_f1([s.spans for s in gold], [decode_iob(t) for t in pred]))
+                    strict_f1([decode_iob(s.tags) for s in gold], [decode_iob(t) for t in pred]))
 
         expected = {}
         for region in Region:
