@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print the source size of the package and of its tests: for each file
-under src/histner and each tests/*.py, its lines that are neither blank nor
-a ``#`` comment, then the total of each of the two groups. Docstrings count
+"""Print the source size of the package, its tests, its scripts and its
+benchmark harness: for each file under src/histner and each tests/*.py,
+scripts/*.py and perfbench/*.py, its lines that are neither blank nor a
+``#`` comment, then the total of each of the four groups. Docstrings count
 as code.
 
 Usage: python scripts/source_loc.py
@@ -12,7 +13,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Each group's directory and the pattern of its files there.
-GROUPS = (("src/histner", "**/*.py"), ("tests", "*.py"))
+GROUPS = (("src/histner", "**/*.py"), ("tests", "*.py"), ("scripts", "*.py"),
+          ("perfbench", "*.py"))
 
 
 def source_lines(path: Path) -> int:

@@ -207,12 +207,13 @@ def _eval_files(report) -> dict[str, str]:
 def cmd_train(args) -> int:
     docs = _load_for_model(args.input)
     splits = _split_corpus(args, docs)
+    if not splits.test:
+        raise DataError("empty test split")
     tagger_cfg, train_cfg = _train_configs(args)
     result = training.train(
         _sentences(splits.train), _sentences(splits.valid), tagger_cfg, train_cfg
     )
-    report = training.evaluate(result.best_params,
-                               _sentences(splits.test) or _sentences(splits.valid))
+    report = training.evaluate(result.best_params, _sentences(splits.test))
     _publish(args,
              {"history.json": result.history_json(),
               "checkpoint_best.npz": result.best_params.save,

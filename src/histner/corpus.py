@@ -219,10 +219,10 @@ def validate_document(doc: Document) -> list[Violation]:
             flag(idx, "sentence has no tokens")
         if len(sent.tags) != len(sent.tokens):
             flag(idx, f"{len(sent.tags)} tags for {len(sent.tokens)} tokens")
-        for tag in sent.tags:
-            if tag not in TAG_TO_ID:
-                flag(idx, f"unknown tag {tag!r}")
-                break
+        try:
+            tag_ids([sent.tags])
+        except TagError as exc:
+            flag(idx, str(exc))
     return violations
 
 

@@ -328,9 +328,9 @@ def run_adaptation_trial(seed: int, epochs: int = 20, lam: float = 0.1) -> Adapt
     Measured behaviour at this scale: the discriminator readings are
     stark (the anti-trained head drops to ~0.0 accuracy while the
     baseline probe exceeds 0.9), but the F1 gain of loss reversal over
-    the baseline is small and usually negative. Under Adam the
-    anti-trained head reaches confident wrongness at full optimizer
-    speed whatever lambda is, and from then on its gradient into the
+    the baseline is small and negative on every measured seed. Under
+    Adam the anti-trained head reaches confident wrongness at full
+    optimizer speed whatever lambda is, and from then on its gradient into the
     extractor is a persistent push that slows NER convergence; with
     hashed whole-token features there is also no subword channel for
     spelling variants to share. Both factors are discussed in the

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import (Region, Sentence, TAG_ALPHABET, TAG_TO_ID, check_config, format_table,
-                     iob_spans, iter_sentences)
+from .corpus import (Region, Sentence, TAG_ALPHABET, check_config, format_table, iob_spans,
+                     iter_sentences, tag_ids)
 from .errors import ConfigError, DataError, HistnerError, TagError, TrainingError
 from .metrics import PRF, StrictF1Report, span_counts
 
@@ -81,12 +81,14 @@ def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> l
     call and the windows built in one call, over the concatenated ids with
     ``context_window`` padding ids after each sentence, so that no window
     reaches into the next sentence. A sentence without tokens is an error."""
-    texts, tag_ids, lengths = [], [], []
+    try:
+        gold = tag_ids([s.tags for s in sentences])
+    except TagError:
+        gold = None
+    texts, lengths = [], []
     for i, s in enumerate(sentences):
-        try:
-            tag_ids.extend(TAG_TO_ID[t] for t in s.tags)
-        except KeyError as exc:
-            raise TagError(f"unknown tag {exc.args[0]!r}")
+        if gold is None:  # an unknown tag somewhere: the first sentence at fault raises
+            tag_ids([s.tags])
         if len(s.tags) != len(s):
             raise DataError(f"{len(s.tags)} tags for {len(s)} tokens")
         if not len(s):
@@ -99,7 +101,7 @@ def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> l
     ids = np.full(len(texts) + len(lengths) * w, config.pad_id, dtype=np.int64)
     ids[at] = m.featurize(texts, config.vocab_size)
     windows = _per_sentence(m.window_matrix(ids, w, config.pad_id)[at], sentences)
-    tags = _per_sentence(np.array(tag_ids, dtype=np.int64), sentences)
+    tags = _per_sentence(gold, sentences)
     return [EncodedSentence(win, tag, int(s.region)) for win, tag, s in zip(windows, tags, sentences)]
 
 
@@ -317,21 +319,20 @@ def _forward_chunks(params: m.TaggerParams, encoded: Sequence[EncodedSentence],
             yield reduce(group, m.forward_windows(params, np.concatenate([s.windows for s in group])))
 
 
-def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> tuple[list[np.ndarray], int]:
-    """One forward pass: the argmax tag ids of each sentence, and the number
-    of tokens whose domain argmax is their sentence's region."""
+def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> tuple[np.ndarray, int]:
+    """One forward pass: the argmax tag ids of every token, flat, as int64,
+    and the number of tokens whose domain argmax is their sentence's region."""
     def reduce(group, graph):
         domain_ids = np.argmax(graph.domain_logits.value, axis=1)
-        return (_per_sentence(np.argmax(graph.ner_logits.value, axis=1), group),
-                int((domain_ids == _region_ids(group)).sum()))
+        return np.argmax(graph.ner_logits.value, axis=1), int((domain_ids == _region_ids(group)).sum())
 
     chunks = list(_forward_chunks(params, encoded, reduce))
-    return [ids for tag_ids, _ in chunks for ids in tag_ids], sum(n for _, n in chunks)
+    return np.concatenate([np.empty(0, np.int64), *(ids for ids, _ in chunks)]), sum(n for _, n in chunks)
 
 
 def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> list[np.ndarray]:
     """Argmax tag ids per sentence."""
-    return _predict(params, encoded)[0]
+    return _per_sentence(_predict(params, encoded)[0], encoded)
 
 
 def predict_corpus(params: m.TaggerParams, sentences: Sequence[Sentence]) -> list[list[str]]:
@@ -384,11 +385,11 @@ class EvalReport:
         return region_table + "\n\n" + label_table
 
 
-def _score(encoded: Sequence[EncodedSentence], tag_ids: list[np.ndarray]) -> EvalReport:
-    """Score predicted tag ids against the encoded gold tags: spans and matched tokens are
-    counted once, per sentence and per token, then summed per region and overall."""
+def _score(encoded: Sequence[EncodedSentence], pred: np.ndarray) -> EvalReport:
+    """Score the flat predicted tag ids against the encoded gold tags: spans and matched tokens
+    are counted once, per sentence and per token, then summed per region and overall."""
     lengths = [len(s) for s in encoded]
-    gold, pred = np.concatenate([s.tag_ids for s in encoded]), np.concatenate(tag_ids)
+    gold = np.concatenate([s.tag_ids for s in encoded])
     counts = span_counts(iob_spans(gold, lengths), iob_spans(pred, lengths), len(encoded))
     matched = gold == pred
     regions, token_regions = np.array([s.region_id for s in encoded]), _region_ids(encoded)
@@ -413,7 +414,7 @@ def evaluate(params: m.TaggerParams, sentences: Sequence[Sentence]) -> EvalRepor
     if not sentences:
         raise DataError("empty evaluation subset")
     encoded = encode_sentences(sentences, params.config)
-    return _score(encoded, predict_encoded(params, encoded))
+    return _score(encoded, _predict(params, encoded)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +449,8 @@ def train(
     params = m.init_params(tagger_config)
     encoded = encode_sentences(train_sentences, tagger_config)
     valid_encoded = encode_sentences(valid_sentences, tagger_config)
+    # every epoch visits every training sentence once
+    train_tokens = sum(len(s) for s in encoded)
     valid_tokens = sum(len(s) for s in valid_encoded)
     # every row a batch can read is known before the first step
     read = np.unique(np.concatenate([s.windows for s in encoded]))
@@ -461,7 +464,6 @@ def train(
     for epoch in range(config.epochs):
         order = rng.permutation(len(encoded))
         epoch_ly = epoch_ld = 0.0
-        epoch_tokens = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [encoded[i] for i in order[lo : lo + config.batch_size]]
             try:
@@ -475,14 +477,13 @@ def train(
             n_tok = sum(len(s) for s in batch)
             epoch_ly += breakdown.l_y * n_tok
             epoch_ld += breakdown.l_d * n_tok
-            epoch_tokens += n_tok
         try:
-            tag_ids, domain_correct = _predict(params, valid_encoded)
-            valid_report = _score(valid_encoded, tag_ids)
+            pred, domain_correct = _predict(params, valid_encoded)
+            valid_report = _score(valid_encoded, pred)
         except HistnerError as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
-        l_y = epoch_ly / epoch_tokens
-        l_d = epoch_ld / epoch_tokens
+        l_y = epoch_ly / train_tokens
+        l_d = epoch_ld / train_tokens
         if config.mode == "baseline":
             l_total = l_y
         elif config.mode == "grad_rev":

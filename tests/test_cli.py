@@ -368,11 +368,13 @@ def _split_file_case(content: bytes):
     return build
 
 
-def _empty_sentence_train_case(tmp_path, corpus_file):
-    path = tmp_path / "with_empty.jsonl"
-    empty = json.dumps({**_RECORD, "doc_id": "empty", "tokens": [], "tags": []})
-    path.write_text(corpus_file.read_text() + empty + "\n")
-    return ["train", "--input", path, "--out", tmp_path / "o"]
+def _train_with_record(record):
+    """A ``train`` run on the fixture corpus with ``record`` appended."""
+    def build(tmp_path, corpus_file):
+        path = tmp_path / "with_record.jsonl"
+        path.write_text(corpus_file.read_text() + json.dumps(record) + "\n")
+        return ["train", "--input", path, "--out", tmp_path / "o"]
+    return build
 
 
 def _empty_sentence_test_case(tmp_path, corpus_file):
@@ -462,13 +464,16 @@ def _split_by_region_case(command, test_regions):
     return build
 
 
-def _no_valid_case(tmp_path, corpus_file):
-    """A ``train`` run whose split file leaves the valid part empty."""
-    doc_ids = list(dict.fromkeys(json.loads(line)["doc_id"]
-                                 for line in corpus_file.read_text().splitlines()))
-    path = tmp_path / "split.json"
-    path.write_text(json.dumps({"train": doc_ids[:-1], "valid": [], "test": doc_ids[-1:]}))
-    return ["train", "--input", corpus_file, "--split-file", path, "--out", tmp_path / "o"]
+def _empty_part_case(empty, other):
+    """A ``train`` run whose split file leaves the ``empty`` part empty and
+    puts the last document in the ``other`` part, the rest in train."""
+    def build(tmp_path, corpus_file):
+        doc_ids = list(dict.fromkeys(json.loads(line)["doc_id"]
+                                     for line in corpus_file.read_text().splitlines()))
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"train": doc_ids[:-1], empty: [], other: doc_ids[-1:]}))
+        return ["train", "--input", corpus_file, "--split-file", path, "--out", tmp_path / "o"]
+    return build
 
 
 def _non_utf8_corpus_case(tmp_path, corpus_file):
@@ -493,8 +498,11 @@ MALFORMED = {
     "document year missing on a later line": (
         _jsonl_case({**_RECORD, "year": 1900}, _RECORD),
         "bad.jsonl: line 2: document 'd' has year None, but 1900 at line 1"),
-    "train corpus has an empty sentence": (_empty_sentence_train_case, "has no tokens"),
-    "valid split is empty": (_no_valid_case, "error: empty valid split"),
+    "train corpus has an empty sentence": (
+        _train_with_record({**_RECORD, "doc_id": "empty", "tokens": [], "tags": []}),
+        "has no tokens"),
+    "valid split is empty": (_empty_part_case("valid", "test"), "error: empty valid split"),
+    "test split is empty": (_empty_part_case("test", "valid"), "error: empty test split"),
     "crossregion test part lacks a region": (
         _split_by_region_case("crossregion", ("Bessarabia", "Transylvania", "Wallachia")),
         "error: region Moldavia has no evaluation sentences"),
@@ -510,6 +518,13 @@ MALFORMED = {
     "stats corpus has an unknown tag": (
         _jsonl_case(_RECORD, {**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}, command="stats"),
         "error: unknown tag 'I-PERSONA' at position 1"),
+    "train corpus has an unknown tag": (
+        _train_with_record({**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}),
+        "with_record.jsonl: d[0]: unknown tag 'I-PERSONA' at position 1"),
+    "eval corpus has an unknown tag": (
+        _model_case("eval", [_RECORD, {**_RECORD, "doc_id": "e",
+                                       "tags": ["B-PERSON", "I-PERSONA"]}]),
+        "records.jsonl: e[0]: unknown tag 'I-PERSONA' at position 1"),
     "iaa layers differ in region": (
         _iaa_case(lambda r: {**r, "region": "Wallachia"}),
         "document 'separable-000', sentence 1: token text, region or tag count differs"),

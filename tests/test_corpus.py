@@ -399,7 +399,7 @@ class TestValidate:
     def test_unknown_tag_flagged(self):
         sent = make_sentence(["a", "b"], ["O", "B-ANIMAL"])
         assert [str(v) for v in validate_document(make_doc("d", [sent]))] == [
-            "d[0]: unknown tag 'B-ANIMAL'"]
+            "d[0]: unknown tag 'B-ANIMAL' at position 1"]
 
     def test_duplicate_ids(self, tiny_corpus):
         dup = tiny_corpus + [make_doc("doc-a", tiny_corpus[0].sentences)]

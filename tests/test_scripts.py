@@ -39,7 +39,9 @@ def test_adaptation_benchmark():
 def test_source_loc():
     rows = [line.split("\t") for line in run_script("source_loc.py")]
     for directory, files in (("src/histner", (ROOT / "src" / "histner").rglob("*.py")),
-                             ("tests", (ROOT / "tests").glob("*.py"))):
+                             ("tests", (ROOT / "tests").glob("*.py")),
+                             ("scripts", (ROOT / "scripts").glob("*.py")),
+                             ("perfbench", (ROOT / "perfbench").glob("*.py"))):
         counts = {name: int(n) for n, name in rows if name.startswith(directory + "/")}
         assert counts == {
             str(f.relative_to(ROOT)): sum(1 for line in f.read_text().splitlines()

@@ -601,7 +601,7 @@ class TestEvaluate:
 
     def test_unknown_tag_rejected(self):
         sents = [make_sentence(["a", "b"], ["O", "O"]), make_sentence(["c", "d"], ["B-DATE", "I-DAT"])]
-        with pytest.raises(TagError, match="unknown tag 'I-DAT'"):
+        with pytest.raises(TagError, match="^unknown tag 'I-DAT' at position 1$"):
             T.evaluate(M.init_params(small_config()), sents)
 
     def test_report_structure(self):
@@ -827,7 +827,8 @@ def _reference_encode_sentences(sentences, config):
         try:
             tag_ids = np.array([TAG_TO_ID[t] for t in sent.tags], dtype=np.int64)
         except KeyError as exc:
-            raise TagError(f"unknown tag {exc.args[0]!r}")
+            raise TagError(f"unknown tag {exc.args[0]!r} at position "
+                           f"{list(sent.tags).index(exc.args[0])}")
         if len(tag_ids) != len(ids):
             raise DataError(f"{len(tag_ids)} tags for {len(ids)} tokens")
         if not len(ids):
