@@ -214,15 +214,21 @@ def validate_document(doc: Document) -> list[Violation]:
     def flag(idx: int, msg: str):
         violations.append(Violation(doc.id, idx, msg))
 
+    try:  # one lookup for the document; sentence by sentence only when a tag is unknown
+        tag_ids([sent.tags for sent in doc.sentences])
+        unknown = False
+    except TagError:
+        unknown = True
     for idx, sent in enumerate(doc.sentences):
         if not sent.tokens:
             flag(idx, "sentence has no tokens")
         if len(sent.tags) != len(sent.tokens):
             flag(idx, f"{len(sent.tags)} tags for {len(sent.tokens)} tokens")
-        try:
-            tag_ids([sent.tags])
-        except TagError as exc:
-            flag(idx, str(exc))
+        if unknown:
+            try:
+                tag_ids([sent.tags])
+            except TagError as exc:
+                flag(idx, str(exc))
     return violations
 
 

@@ -276,8 +276,9 @@ def forward_windows(
     """Run the tagger over a precomputed window-id matrix.
 
     The window rows of the embedding table are gathered outside the graph,
-    so a pass costs nothing per table row beyond the finiteness check.
-    When ``domain_grad_scale`` is set, a gradient-scaling node is inserted
+    so a pass costs nothing per table row; it checks the rows it reads, and
+    callers check the whole table (``check_table``) once per call. When
+    ``domain_grad_scale`` is set, a gradient-scaling node is inserted
     between the features and the domain head, leaving values untouched.
     """
     if win_ids.ndim != 2 or win_ids.shape[1] != 2 * params.config.context_window + 1:
@@ -288,8 +289,6 @@ def forward_windows(
     table = params.extractor["embed"]
     if win_ids.min() < 0 or win_ids.max() >= table.shape[0]:
         raise ShapeError(f"window id outside the embedding table with {table.shape[0]} rows")
-    if not ad.all_finite(table):
-        raise NonFiniteError("embedding table has non-finite values")
     leaves = {key: ad.Node(arr) for key, arr in params.items_flat() if key != EMBED}
     x = ad.Node(table[win_ids].reshape(len(win_ids), -1))
     h = ad.tanh(ad.add(ad.matmul(x, leaves[("extractor", "w_hidden")]),
@@ -301,9 +300,20 @@ def forward_windows(
     return ForwardGraph(leaves, x, win_ids, table.shape[0], h, ner_logits, domain_logits)
 
 
+#: What a whole-table check raises, at inference and in a training step's decay pass.
+TABLE_NOT_FINITE = "embedding table has non-finite values"
+
+
+def check_table(params: TaggerParams) -> None:
+    """Raise ``NonFiniteError`` unless the whole embedding table is finite."""
+    if not ad.all_finite(params.extractor["embed"]):
+        raise NonFiniteError(TABLE_NOT_FINITE)
+
+
 def predict_tags(params: TaggerParams, token_texts: Sequence[str]) -> list[str]:
     """Argmax NER tags for one sentence of raw token strings."""
     cfg = params.config
     win = window_matrix(featurize(token_texts, cfg.vocab_size), cfg.context_window, cfg.pad_id)
+    check_table(params)
     graph = forward_windows(params, win)
     return [TAG_ALPHABET[i] for i in np.argmax(graph.ner_logits.value, axis=1)]

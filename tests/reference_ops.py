@@ -10,7 +10,9 @@ finite-difference oracle for every gradient. ``is_valid_iob`` is the oracle
 for the IOB2 sequences that ``encode_iob`` repairs and the generators emit.
 ``decode_iob`` walks the tags one at a time and ``span_counts`` matches
 spans with a ``Counter``, the loops that ``corpus.iob_spans`` and
-``metrics.span_counts`` replaced.
+``metrics.span_counts`` replaced. ``dumps_embeddings`` formats each row of
+the embeddings TSV with one ``%`` call, the writer that the vectorised
+``training._tsv_cells`` replaced.
 
 Gradients follow the engine's rule (a gradient is its first contribution;
 later ones are added out of place), so an op that must scatter in place
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from histner import autodiff
+from histner import autodiff, training
 from histner.autodiff import (
     Node,
     _accumulate,
@@ -40,7 +42,7 @@ from histner.autodiff import (
     sub,
     tanh,
 )
-from histner.corpus import TAG_TO_ID, EntityLabel, EntitySpan
+from histner.corpus import TAG_TO_ID, EntityLabel, EntitySpan, Region
 from histner.errors import DataError, ShapeError, TagError
 
 
@@ -197,3 +199,15 @@ def span_counts(gold: Sequence[Sequence[EntitySpan]],
             row[cell[label] + 2] += n
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(EntityLabel), 3)
+
+
+def dumps_embeddings(params, sentences) -> str:
+    """``training.dumps_embeddings`` with one ``%`` call per row."""
+    row = "\t".join(["%.6f"] * params.config.hidden_dim)
+
+    def reduce(group, graph):
+        return "".join(f"{Region(enc.region_id).display}\t{row % tuple(h.mean(axis=0).tolist())}\n"
+                       for enc, h in zip(group, training._per_sentence(graph.features.value, group)))
+
+    encoded = training.encode_sentences(sentences, params.config)
+    return "".join(training._forward_chunks(params, encoded, reduce))

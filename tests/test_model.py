@@ -10,8 +10,10 @@ import pytest
 from histner import autodiff as ad
 from histner import model as M
 from histner import training as T
-from histner.corpus import TAG_ALPHABET
+from histner.corpus import TAG_ALPHABET, Region
 from histner.errors import ConfigError, DataError, NonFiniteError, ShapeError
+
+from conftest import make_sentence
 
 SMALL = dict(vocab_size=512, embed_dim=8, hidden_dim=16, context_window=2)
 
@@ -188,8 +190,26 @@ class TestForward:
         assert not graph.gradient(("ner_head", "b")).any()
 
 
+#: Every public inference entry point, run on a list of sentences; each checks
+#: the whole table once, ``forward_windows`` only the rows it reads.
+ENTRY_POINTS = {
+    "predict_tags": lambda params, sentences: M.predict_tags(params, sentences[0].token_texts),
+    "predict_corpus": T.predict_corpus,
+    "evaluate": T.evaluate,
+    "domain_accuracy": T.domain_accuracy,
+    "dumps_embeddings": T.dumps_embeddings,
+    "fit_domain_probe": lambda params, sentences: T.fit_domain_probe(params, sentences, epochs=1),
+}
+
+
+def _two_sentences():
+    return [make_sentence(["unu", "doi"], ["O", "B-DATE"], Region.MOLDAVIA),
+            make_sentence(["doi", "unu", "trei"], ["O", "O", "O"], Region.WALLACHIA)]
+
+
 class TestGatherBoundary:
-    """The window rows are gathered from the table outside the graph."""
+    """The window rows are gathered from the table outside the graph; each
+    entry point checks the whole table before its first forward pass."""
 
     @pytest.mark.parametrize("bad_id", [-1, SMALL["vocab_size"] + 1])
     def test_id_outside_table_rejected(self, bad_id):
@@ -205,23 +225,26 @@ class TestGatherBoundary:
         assert M.forward_windows(params, win).features.shape == (1, SMALL["hidden_dim"])
 
     def test_nan_in_unread_row_rejected(self):
+        sentences = _two_sentences()
         params = M.init_params(small_config())
-        ids = M.featurize(["unu", "doi"], 512)
-        win = M.window_matrix(ids, 2, params.config.pad_id)
-        unread = next(r for r in range(512) if r not in set(win.ravel().tolist()))
+        ids = M.featurize(["unu", "doi", "trei"], 512)
+        unread = next(r for r in range(512) if r not in set(ids.tolist()))
         params.extractor["embed"][unread, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            M.forward_windows(params, win)
+        for run in ENTRY_POINTS.values():
+            with pytest.raises(NonFiniteError, match="embedding table"):
+                run(params, sentences)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, -1])
     def test_non_finite_at_either_end_of_the_table_rejected(self, value, at):
-        # rows 0 and the padding row (the last) are not read by these windows
+        # row 0 is read by no window of these sentences; the padding row (the last) is
+        sentences = _two_sentences()
         params = M.init_params(small_config())
-        win = np.arange(5, 20).reshape(3, 5)
+        assert 0 not in M.featurize(["unu", "doi", "trei"], 512)
         params.extractor["embed"].flat[at] = value
-        with pytest.raises(NonFiniteError, match="embedding table"):
-            M.forward_windows(params, win)
+        for run in ENTRY_POINTS.values():
+            with pytest.raises(NonFiniteError, match="embedding table"):
+                run(params, sentences)
 
     def test_huge_finite_table_accepted_without_warning(self):
         # the squares of 1e200 overflow; every element is still finite
@@ -233,6 +256,15 @@ class TestGatherBoundary:
             warnings.simplefilter("error")
             graph = M.forward_windows(params, win)
         assert np.isfinite(graph.ner_logits.value).all()
+
+    def test_huge_finite_table_accepted_without_warning_at_every_entry_point(self):
+        params = M.init_params(small_config())
+        table = params.extractor["embed"]
+        table[...] = np.where(np.random.default_rng(0).random(table.shape) < 0.5, -1e200, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in ENTRY_POINTS.values():
+                run(params, _two_sentences())
 
 
 class TestRowSparse:

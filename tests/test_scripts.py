@@ -164,13 +164,24 @@ def test_bench_pairs_summary_of_canned_results():
     # parent 67.0 67.2 67.4 67.5 68.0: median 67.4, quartiles 67.2 and 67.5
     assert "67.4 [67.2, 67.5]" in rows["peak_rss_mb"]
     assert "62.2 [62.1, 62.5]" in rows["peak_rss_mb"]
-    assert rows["peak_rss_mb"].split()[-3:] == ["4/5", "yes", "no"]
+    # its median is better by more than the parent's quartile distance, but 4 wins
+    # of 5 are fewer than 9 of 10, so no claim holds
+    assert rows["peak_rss_mb"].split()[-3:] == ["4/5", "no", "no"]
     # the change reads 100 throughout; it wins no pair and its median is lower,
     # by 2 %, within the bound
     assert rows["tok_s"].split()[-3:] == ["0/5", "no", "no"]
     assert "1 [1, 1]" in rows["wall_s"] and "1.3 [1.2, 1.3]" in rows["wall_s"]
     assert rows["wall_s"].split()[-3:] == ["1/5", "no", "yes"]
     assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]
+    # ten pairs whose change median beats the parent's by far more than its quartile
+    # distance: the claim holds at 9 wins and is refused at 8
+    parent_tok = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+    for wins in (8, 9):
+        change_tok = [150.0] * wins + [90.0] * (10 - wins)
+        pairs = [{"parent": json.loads(_result_line(tok_s=p)), "change": json.loads(_result_line(tok_s=c))}
+                 for p, c in zip(parent_tok, change_tok)]
+        row = bench_pairs.summarize(pairs, end_to_end[1:2])[1]
+        assert row.split()[-3:] == [f"{wins}/10", "yes" if wins == 9 else "no", "no"]
 
 
 def test_bench_pairs_calls_a_bound_unresolved_when_the_parent_spread_exceeds_it():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from histner import autodiff
 from histner import model as M
 from histner import training as T
 from histner.corpus import (
@@ -350,6 +351,16 @@ class TestAdam:
         assert np.array_equal(params.extractor["embed"], before)
         assert M.EMBED not in state.m
 
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    def test_huge_finite_table_passes_the_decay_check(self, weight_decay):
+        # the squares of 1e200 overflow each block's sum; every element is still finite
+        params = M.init_params(small_config())
+        table = params.extractor["embed"]
+        table[...] = np.where(np.random.default_rng(0).random(table.shape) < 0.5, -1e200, 1e200)
+        grad = M.RowSparse(np.array([3, 17]), np.ones((2, SMALL["embed_dim"])), len(table))
+        T.adam_step(params, {M.EMBED: grad}, T.AdamState(), lr=0.1, weight_decay=weight_decay)
+        assert np.isfinite(table).all()
+
     def test_gradient_shape_mismatch_rejected(self):
         params, key, state = self._single(1.0)
         with pytest.raises(DataError, match=r"gradient shape \(2,\) != param shape \(1,\)"):
@@ -453,6 +464,23 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 0, batch at 8: .*non-finite"):
             T.train(train_s, valid_s, small_config(), config)
 
+    def test_nan_in_unread_row_between_steps_without_weight_decay(self, monkeypatch):
+        # with no decay to make, the decay pass still checks the table once per step
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        read = {int(i) for s in T.encode_sentences(train_s + valid_s, small_config())
+                for i in s.windows.ravel()}
+        unread = next(r for r in range(512) if r not in read)
+        adam_step = T.adam_step
+
+        def spy(params, *args, **kwargs):
+            adam_step(params, *args, **kwargs)
+            params.extractor["embed"][unread, 0] = np.nan
+
+        monkeypatch.setattr(T, "adam_step", spy)
+        config = T.TrainConfig(epochs=1, batch_size=8, weight_decay=0.0)
+        with pytest.raises(TrainingError, match="epoch 0, batch at 8: embedding table has non-finite"):
+            T.train(train_s, valid_s, small_config(), config)
+
     def test_diverged_validation_names_epoch(self):
         train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
         config = T.TrainConfig(epochs=1, lr=1e300, batch_size=len(train_s))
@@ -545,6 +573,56 @@ class TestRowPacking:
         args = (tmp_path / "e.tsv",) if run == "export_embeddings" else ()
         getattr(T, run)(M.init_params(small_config()), sentences, *args)
         assert len(graphs) == len(_greedy_packs([200] * 8, T._CHUNK_ROWS)) > 1
+
+
+class TestTableScans:
+    """The whole table is read for its finiteness once per inference call and
+    once per training step, by ``autodiff.all_finite`` or by the decay pass."""
+
+    @staticmethod
+    def _spy(monkeypatch, shape):
+        scans, real_all_finite, real_decay = [], autodiff.all_finite, T._decay
+
+        def all_finite(arr):
+            if arr.shape == shape:
+                scans.append("all_finite")
+            return real_all_finite(arr)
+
+        def decay(arr, factor):
+            if arr.shape == shape:
+                scans.append("decay")
+            return real_decay(arr, factor)
+
+        monkeypatch.setattr(autodiff, "all_finite", all_finite)
+        monkeypatch.setattr(T, "_decay", decay)
+        return scans
+
+    @pytest.mark.parametrize("run", ["predict_corpus", "evaluate", "domain_accuracy",
+                                     "dumps_embeddings", "fit_domain_probe"])
+    def test_one_scan_per_inference_call(self, run, monkeypatch):
+        sentences = _sentences_of_lengths([200] * 8)
+        params = M.init_params(small_config())
+        chunks, real_forward = [], M.forward_windows
+
+        def forward_spy(params, windows, **kwargs):
+            chunks.append(len(windows))
+            return real_forward(params, windows, **kwargs)
+
+        scans = self._spy(monkeypatch, params.extractor["embed"].shape)
+        monkeypatch.setattr(M, "forward_windows", forward_spy)
+        getattr(T, run)(params, sentences)
+        assert len(chunks) == 4
+        assert scans == ["all_finite"]
+
+    @pytest.mark.parametrize("weight_decay", [0.05, 0.0])
+    def test_one_scan_per_training_step(self, weight_decay, monkeypatch):
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        config = T.TrainConfig(epochs=2, batch_size=8, weight_decay=weight_decay)
+        scans = self._spy(monkeypatch, (SMALL["vocab_size"] + 1, SMALL["embed_dim"]))
+        T.train(train_s, valid_s, small_config(), config)
+        steps = -(-len(train_s) // config.batch_size)
+        # each epoch: one decay pass per step, then one check for the validation pass
+        assert scans == (["decay"] * steps + ["all_finite"]) * config.epochs
 
 
 class TestEmptySentence:
@@ -763,6 +841,60 @@ class TestExportEmbeddings:
         T.export_embeddings(params, [sent, twin], path)
         rows = path.read_text().strip().split("\n")
         assert rows[0] == rows[1]
+
+
+def _cells(values):
+    """``_tsv_cells`` of a (rows, cols) array, as text."""
+    return T._tsv_cells(np.asarray(values, dtype=float)).tobytes().replace(b"\0", b"").decode()
+
+
+#: Values in [0, 1] whose six-decimal rounding is a tie or nearly one: the
+#: dyadic ties k/2^j, each of some (m + 0.5)/1e6 and its two neighbours, the
+#: least subnormal, and 0.9999995, which rounds up to 1.
+_TIES = ([k / 2**j for j in range(1, 8) for k in range(2**j + 1)]
+         + [float(np.nextafter(t, to)) for m in [*range(0, 10**6, 4999), 999999]
+            for t in [(m + 0.5) / 1e6] for to in (0.0, t, 2.0)]
+         + [5e-324, 0.9999995])
+
+
+class TestTsvCells:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0))
+    @example(0.0078125)
+    @example(-0.0078125)
+    @example(float(np.nextafter(0.0000005, 1.0)))
+    @example(float(np.nextafter(0.0000005, 0.0)))
+    @example(float(np.nextafter(0.0078125, 1.0)))
+    @example(float(np.nextafter(0.7654325, 0.0)))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(1.0)
+    @example(-1.0)
+    @example(0.9999995)
+    def test_one_value_as_percent_writes_it(self, v):
+        assert _cells([[v]]) == "%.6f\n" % v
+
+    def test_ties_and_their_neighbours(self):
+        values = np.array(_TIES + [-v for v in _TIES]).reshape(-1, 1)
+        assert _cells(values) == "".join("%.6f\n" % v for v in values[:, 0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_rows_as_percent_writes_them(self, n_rows, n_cols, data):
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols))
+        rows = np.array(values).reshape(n_rows, n_cols)
+        assert _cells(rows) == "".join("\t".join("%.6f" % v for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_dumps_embeddings_equals_the_per_row_reference(self, seed):
+        from histner.synthetic import regional_corpus
+
+        sentences = list(iter_sentences(regional_corpus(seed).train))
+        params = M.init_params(M.TaggerConfig(vocab_size=4096, embed_dim=32, hidden_dim=64, seed=seed))
+        assert T.dumps_embeddings(params, sentences) == ad.dumps_embeddings(params, sentences)
 
 
 class TestDomainProbe:
