@@ -2,25 +2,27 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, for
-``BENCHMARK.json``'s ``run_seconds``; the parent runs first in even pairs
-and the change first in odd ones. For every end-to-end metric the summary
-gives each side's median and quartiles, the pairs the change wins, whether
-a claimed gain holds (the change wins at least 9 of every 10 pairs, and
-its median is better than the parent's by more than the parent's quartile
+``BENCHMARK.json``'s ``run_seconds``; the parent runs first in even
+pairs and the change first in odd ones. For every end-to-end metric the
+summary gives each side's median and quartiles over the pairs where both
+sides gave a value, the pairs the change wins out of all pairs run,
+whether a claimed gain holds (the change wins at least 9 of every 10
+pairs run, a pair without both values counting as lost, and its median
+is better than the parent's by more than the parent's quartile
 distance), and whether it is worse than the parent's by more than the
 metric's ``bound``, a fraction of the parent's median (what every change
 must avoid); that verdict is ``unresolved`` when the parent's quartile
 distance is wider than the bound and some parent run is not beaten by
-every change run. Failed and attempted operations are counted per side; a
-run that ends without a result line counts as one failed. Each side gets
-one empty bytecode cache (``PYTHONPYCACHEPREFIX``) for the whole
+every change run. Failed and attempted operations are counted per side;
+a run that ends without a result line counts as one failed. Each side
+gets one empty bytecode cache (``PYTHONPYCACHEPREFIX``) for the whole
 invocation, so neither side reads modules a checkout's ``__pycache__``
 holds, and one untimed warm-up run per side, before the pairs, compiles
-what that side imports; every timed run then reads compiled modules, as a
-run on installed bytecode does. The caches are removed at the end. What a
-run without bytecode pays on top, inside ``setup_s``, is shown by one line
-per side: the time to compile that checkout's ``src/histner`` and
-``perfbench`` sources, the least of 5 passes of ``compile()``.
+what that side imports; every timed run then reads compiled modules, as
+a run on installed bytecode does. The caches are removed at the end.
+What a run without bytecode pays on top, inside ``setup_s``, is shown by
+one line per side: the time to compile that checkout's ``src/histner``
+and ``perfbench`` sources, the least of 5 passes of ``compile()``.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 """
@@ -110,10 +112,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
         # every change run beats every parent run
         separated = (min(sign * v["change"] for v in values)
                      > max(sign * v["parent"] for v in values))
-        verdicts = ["yes" if 10 * wins >= 9 * len(values) and gain > q3 - q1 else "no",
+        verdicts = ["yes" if 10 * wins >= 9 * len(pairs) and gain > q3 - q1 else "no",
                     "yes" if -gain > bound else
                     "unresolved" if q3 - q1 > bound and not separated else "no"]
-        lines.append(f"{name:20s} {cells[0]:>36s} {cells[1]:>36s} {wins:>3d}/{len(values):<2d}"
+        lines.append(f"{name:20s} {cells[0]:>36s} {cells[1]:>36s} {wins:>3d}/{len(pairs):<2d}"
                      f"  {verdicts[0]:>15s}  {verdicts[1]}")
     for side in SIDES:
         results = [pair[side] for pair in pairs]

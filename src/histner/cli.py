@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from . import analysis, brat, corpus, metrics, model, training
-from .errors import ConfigError, DataError, HistnerError
+from .errors import ConfigError, DataError, HistnerError, TagError
 
 logger = logging.getLogger("histner")
 
@@ -137,12 +137,24 @@ def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
     return list(corpus.iter_sentences(docs))
 
 
+def _naming_unknown_tag(call, *layers: tuple[str, corpus.Corpus]):
+    """``call()``, where an unknown tag is a ``DataError`` naming the file, document and
+    sentence of the first sentence, in file order and layer by layer, that holds one."""
+    try:
+        return call()
+    except TagError as exc:
+        raise DataError(next((f"{path}: {v}" for path, docs in layers
+                              for v in corpus.validate_corpus(docs)
+                              if v.message.startswith("unknown tag")), str(exc))) from exc
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    stats = corpus.corpus_stats(corpus.load_jsonl(args.input))
+    docs = corpus.load_jsonl(args.input)
+    stats = _naming_unknown_tag(lambda: corpus.corpus_stats(docs), (args.input, docs))
     print(stats.render_text())
     _publish(args, {"stats.json": _json(stats.to_json_dict())}, {"input": args.input},
              _inputs(args))
@@ -186,7 +198,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_iaa(args) -> int:
-    report = metrics.iaa_report(corpus.load_jsonl(args.input), corpus.load_jsonl(args.input_b))
+    docs_a, docs_b = corpus.load_jsonl(args.input), corpus.load_jsonl(args.input_b)
+    report = _naming_unknown_tag(lambda: metrics.iaa_report(docs_a, docs_b),
+                                 (args.input, docs_a), (args.input_b, docs_b))
     print(report.render_text())
     _publish(args, {"iaa.json": _json(report.to_json_dict())},
              {"input": args.input, "input_b": args.input_b}, _inputs(args))

@@ -9,7 +9,7 @@ precision, recall, and F1 fall back to 0 when their denominator is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,6 +96,23 @@ def strict_f1(
     return StrictF1Report.from_counts(span_counts(*sides, len(gold)).sum(axis=0))
 
 
+def compare_layers(a: np.ndarray, b: np.ndarray, lengths: Sequence[int], regions: Sequence[int],
+                   token_score: Callable[[np.ndarray, np.ndarray], float]):
+    """``(token_score(a, b), strict F1 report)`` of two aligned tag-id layers, ``a`` the reference,
+    over all sentences of ``lengths`` tokens and ``regions``, then by each region present, in
+    ``Region`` order; spans are counted once, per sentence, and summed per group."""
+    counts = span_counts(iob_spans(a, lengths), iob_spans(b, lengths), len(lengths))
+    regions = np.asarray(regions, dtype=np.int64)
+    token_regions = np.repeat(regions, lengths)
+
+    def score(sents, tokens) -> tuple[float, StrictF1Report]:
+        return (token_score(a[tokens], b[tokens]),
+                StrictF1Report.from_counts(counts[sents].sum(axis=0)))
+
+    return score(slice(None), slice(None)), {r: score(regions == r, token_regions == r)
+                                             for r in Region if (regions == r).any()}
+
+
 def _tag_ids(
     tags_a: Sequence[Sequence[str]], tags_b: Sequence[Sequence[str]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,14 +130,16 @@ def _tag_ids(
     return a, b
 
 
-def token_accuracy(
-    gold_tags: Sequence[Sequence[str]], pred_tags: Sequence[Sequence[str]]
-) -> float:
-    """Fraction of matching tags over all tokens, O included."""
-    gold, pred = _tag_ids(gold_tags, pred_tags)
-    if not len(gold):
+def accuracy(a: np.ndarray, b: np.ndarray) -> float:
+    """The share of the positions where two aligned id arrays hold the same id."""
+    if not len(a):
         raise DataError("no tokens to score")
-    return int((gold == pred).sum()) / len(gold)
+    return np.count_nonzero(a == b) / len(a)
+
+
+def token_accuracy(gold_tags: Sequence[Sequence[str]], pred_tags: Sequence[Sequence[str]]) -> float:
+    """Fraction of matching tags over all tokens, O included."""
+    return accuracy(*_tag_ids(gold_tags, pred_tags))
 
 
 def _kappa(a: np.ndarray, b: np.ndarray) -> float:
@@ -128,7 +147,7 @@ def _kappa(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     if not n:
         raise DataError("empty input to kappa")
-    p_o = int((a == b).sum()) / n
+    p_o = accuracy(a, b)
     count_a = np.bincount(a).tolist()
     count_b = np.bincount(b, minlength=len(count_a)).tolist()
     # the tags in the order they first appear in a, the order a Counter of a
@@ -219,23 +238,10 @@ def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> Agreemen
         sents_b += db.sentences
 
     a, b = (tag_ids([s.tags for s in sents]) for sents in (sents_a, sents_b))
-    lengths = [len(s.tags) for s in sents_a]
-    counts = span_counts(iob_spans(a, lengths), iob_spans(b, lengths), len(sents_a))
-    regions = np.array([s.region for s in sents_a], dtype=np.int64)
-    token_regions = np.repeat(regions, np.array(lengths, dtype=np.int64))
-    f1 = StrictF1Report.from_counts(counts.sum(axis=0))
-    overall = AgreementCell(kappa=_kappa(a, b), pairwise_f1=f1.overall)
-
-    per_region: dict[Region, AgreementCell] = {}
-    for region in Region:
-        in_region = regions == region
-        if not in_region.any():
-            continue
-        tokens = token_regions == region
-        per_region[region] = AgreementCell(
-            kappa=_kappa(a[tokens], b[tokens]),
-            pairwise_f1=StrictF1Report.from_counts(counts[in_region].sum(axis=0)).overall,
-        )
+    (kappa, f1), by_region = compare_layers(a, b, [len(s.tags) for s in sents_a],
+                                            [s.region for s in sents_a], _kappa)
+    overall = AgreementCell(kappa=kappa, pairwise_f1=f1.overall)
+    per_region = {r: AgreementCell(kappa=k, pairwise_f1=f.overall) for r, (k, f) in by_region.items()}
 
     # a label's pairwise F1 is strict F1 on that label's spans only
     per_label = {

@@ -21,16 +21,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .corpus import (Region, Sentence, TAG_ALPHABET, check_config, format_table, iob_spans,
-                     iter_sentences, tag_ids)
+from .corpus import (Region, Sentence, TAG_ALPHABET, check_config, format_table, iter_sentences,
+                     tag_ids)
 from .errors import ConfigError, DataError, HistnerError, NonFiniteError, TagError, TrainingError
-from .metrics import PRF, StrictF1Report, span_counts
+from .metrics import PRF, accuracy, compare_layers
 
 MODES = ("baseline", "grad_rev", "loss_rev")
 
@@ -76,11 +76,12 @@ class EncodedSentence:
         return len(self.tag_ids)
 
 
-def encode_sentences(sentences: Sequence[Sentence], config: m.TaggerConfig) -> list[EncodedSentence]:
-    """Encode every sentence in one pass: the token texts are hashed in one
-    call and the windows built in one call, over the concatenated ids with
-    ``context_window`` padding ids after each sentence, so that no window
-    reaches into the next sentence. A sentence without tokens is an error."""
+def encode_sentences(sentences: Iterable[Sentence], config: m.TaggerConfig) -> list[EncodedSentence]:
+    """Encode every sentence of any iterable, read once, in one pass: the token texts are hashed
+    in one call and the windows built in one call, over the concatenated ids with
+    ``context_window`` padding ids after each sentence, so that no window reaches into the next
+    sentence. A sentence without tokens is an error."""
+    sentences = list(sentences)
     try:
         gold = tag_ids([s.tags for s in sentences])
     except TagError:
@@ -337,15 +338,15 @@ def _forward_chunks(params: m.TaggerParams, encoded: Sequence[EncodedSentence],
             yield reduce(group, m.forward_windows(params, np.concatenate([s.windows for s in group])))
 
 
-def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> tuple[np.ndarray, int]:
-    """One forward pass: the argmax tag ids of every token, flat, as int64,
-    and the number of tokens whose domain argmax is their sentence's region."""
-    def reduce(group, graph):
-        domain_ids = np.argmax(graph.domain_logits.value, axis=1)
-        return np.argmax(graph.ner_logits.value, axis=1), int((domain_ids == _region_ids(group)).sum())
+def _predict(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> np.ndarray:
+    """One forward pass: the argmax tag ids and the domain argmax ids of
+    every token, flat, as the two rows of one int64 array."""
+    def reduce(_, graph):
+        heads = (graph.ner_logits, graph.domain_logits)
+        return np.stack([np.argmax(logits.value, axis=1) for logits in heads])
 
-    chunks = list(_forward_chunks(params, encoded, reduce))
-    return np.concatenate([np.empty(0, np.int64), *(ids for ids, _ in chunks)]), sum(n for _, n in chunks)
+    return np.concatenate([np.empty((2, 0), np.int64), *_forward_chunks(params, encoded, reduce)],
+                          axis=1)
 
 
 def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) -> list[np.ndarray]:
@@ -353,17 +354,17 @@ def predict_encoded(params: m.TaggerParams, encoded: Sequence[EncodedSentence]) 
     return _per_sentence(_predict(params, encoded)[0], encoded)
 
 
-def predict_corpus(params: m.TaggerParams, sentences: Sequence[Sentence]) -> list[list[str]]:
+def predict_corpus(params: m.TaggerParams, sentences: Iterable[Sentence]) -> list[list[str]]:
     encoded = encode_sentences(sentences, params.config)
     return [[TAG_ALPHABET[i] for i in ids] for ids in predict_encoded(params, encoded)]
 
 
-def domain_accuracy(params: m.TaggerParams, sentences: Sequence[Sentence]) -> float:
+def domain_accuracy(params: m.TaggerParams, sentences: Iterable[Sentence]) -> float:
     """Per-token accuracy of the domain head against the region labels."""
-    if not sentences:
-        raise DataError("empty subset")
     encoded = encode_sentences(sentences, params.config)
-    return _predict(params, encoded)[1] / sum(len(s) for s in encoded)
+    if not encoded:
+        raise DataError("empty subset")
+    return accuracy(_region_ids(encoded), _predict(params, encoded)[1])
 
 
 @dataclass
@@ -404,34 +405,20 @@ class EvalReport:
 
 
 def _score(encoded: Sequence[EncodedSentence], pred: np.ndarray) -> EvalReport:
-    """Score the flat predicted tag ids against the encoded gold tags: spans and matched tokens
-    are counted once, per sentence and per token, then summed per region and overall."""
-    lengths = [len(s) for s in encoded]
+    """Score the flat predicted tag ids against the encoded gold tags, per region and overall."""
     gold = np.concatenate([s.tag_ids for s in encoded])
-    counts = span_counts(iob_spans(gold, lengths), iob_spans(pred, lengths), len(encoded))
-    matched = gold == pred
-    regions, token_regions = np.array([s.region_id for s in encoded]), _region_ids(encoded)
-
-    def score(sents, tokens) -> tuple[float, StrictF1Report]:
-        return (np.count_nonzero(matched[tokens]) / len(matched[tokens]),
-                StrictF1Report.from_counts(counts[sents].sum(axis=0)))
-
-    by_region = {r: score(regions == r, token_regions == r) for r in Region if (regions == r).any()}
-    accuracy, report = score(slice(None), slice(None))
-    return EvalReport(
-        per_region={r: RegionScore(accuracy=a, f1=f.overall) for r, (a, f) in by_region.items()},
-        per_label={l.name: p for l, p in report.per_label.items()},
-        overall_accuracy=accuracy,
-        overall_f1=report.overall,
-    )
+    (acc, report), by_region = compare_layers(gold, pred, [len(s) for s in encoded],
+                                              [s.region_id for s in encoded], accuracy)
+    return EvalReport(per_region={r: RegionScore(a, f.overall) for r, (a, f) in by_region.items()},
+                      per_label={l.name: p for l, p in report.per_label.items()},
+                      overall_accuracy=acc, overall_f1=report.overall)
 
 
-def evaluate(params: m.TaggerParams, sentences: Sequence[Sentence]) -> EvalReport:
+def evaluate(params: m.TaggerParams, sentences: Iterable[Sentence]) -> EvalReport:
     """Accuracy and strict F1 grouped by region, strict F1 per entity."""
-    sentences = list(sentences)
-    if not sentences:
-        raise DataError("empty evaluation subset")
     encoded = encode_sentences(sentences, params.config)
+    if not encoded:
+        raise DataError("empty evaluation subset")
     return _score(encoded, _predict(params, encoded)[0])
 
 
@@ -451,8 +438,8 @@ class TrainResult:
 
 
 def train(
-    train_sentences: Sequence[Sentence],
-    valid_sentences: Sequence[Sentence],
+    train_sentences: Iterable[Sentence],
+    valid_sentences: Iterable[Sentence],
     tagger_config: m.TaggerConfig,
     config: TrainConfig,
 ) -> TrainResult:
@@ -460,6 +447,7 @@ def train(
     checkpoint (ties to the earlier epoch) alongside the final one."""
     config.validate()
     tagger_config.validate()
+    train_sentences, valid_sentences = list(train_sentences), list(valid_sentences)
     if not train_sentences:
         raise DataError("empty train split")
     if not valid_sentences:
@@ -469,7 +457,7 @@ def train(
     valid_encoded = encode_sentences(valid_sentences, tagger_config)
     # every epoch visits every training sentence once
     train_tokens = sum(len(s) for s in encoded)
-    valid_tokens = sum(len(s) for s in valid_encoded)
+    valid_regions = _region_ids(valid_encoded)
     # every row a batch can read is known before the first step
     read = np.unique(np.concatenate([s.windows for s in encoded]))
     few = len(read) <= _SPARSE_SHARE * len(params.extractor["embed"])
@@ -494,7 +482,7 @@ def train(
             epoch_ly += breakdown.l_y * n_tok
             epoch_ld += breakdown.l_d * n_tok
         try:
-            pred, domain_correct = _predict(params, valid_encoded)
+            pred, domain_pred = _predict(params, valid_encoded)
             valid_report = _score(valid_encoded, pred)
         except HistnerError as exc:
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
@@ -514,7 +502,7 @@ def train(
                 "l_total": l_total,
                 "valid_f1": valid_report.overall_f1.f1,
                 "valid_acc": valid_report.overall_accuracy,
-                "valid_domain_acc": domain_correct / valid_tokens,
+                "valid_domain_acc": accuracy(valid_regions, domain_pred),
             }
         )
         if valid_report.overall_f1.f1 > best_f1:
@@ -537,7 +525,7 @@ _PROBE_BATCH = 32
 @np.errstate(over="ignore", invalid="ignore")
 def fit_domain_probe(
     params: m.TaggerParams,
-    sentences: Sequence[Sentence],
+    sentences: Iterable[Sentence],
     epochs: int = 10,
     lr: float = 1e-3,
     seed: int = 0,
@@ -621,22 +609,18 @@ def inter_regional(
     test sentences it is scored on, and is evaluated once, over the whole
     test split, as soon as it is trained."""
     regions = list(Region)
-    train_by = {r: [s for s in iter_sentences(splits.train) if s.region == r] for r in regions}
-    valid_by = {r: [s for s in iter_sentences(splits.valid) if s.region == r] for r in regions}
-    test_by = {r: [s for s in iter_sentences(splits.test) if s.region == r] for r in regions}
+    parts = {"training": splits.train, "validation": splits.valid, "evaluation": splits.test}
+    by_region = {r: [[s for s in iter_sentences(part) if s.region == r] for part in parts.values()]
+                 for r in regions}
     for r in regions:
-        if not train_by[r]:
-            raise DataError(f"region {r.display} has no training sentences")
-        if not valid_by[r]:
-            raise DataError(f"region {r.display} has no validation sentences")
-        if not test_by[r]:
-            raise DataError(f"region {r.display} has no evaluation sentences")
+        for name, subset in zip(parts, by_region[r]):
+            if not subset:
+                raise DataError(f"region {r.display} has no {name} sentences")
 
-    test = list(iter_sentences(splits.test))
     matrix = np.zeros((len(regions), len(regions)))
     for i, r in enumerate(regions):
-        trained = train(train_by[r], valid_by[r], tagger_config, config).best_params
-        per_region = evaluate(trained, test).per_region
+        trained = train(*by_region[r][:2], tagger_config, config).best_params
+        per_region = evaluate(trained, iter_sentences(splits.test)).per_region
         matrix[i] = [per_region[eval_region].f1.f1 for eval_region in regions]
     return InterRegionalResult(regions=regions, matrix=matrix)
 
@@ -664,7 +648,7 @@ def _tsv_cells(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dumps_embeddings(params: m.TaggerParams, sentences: Sequence[Sentence]) -> str:
+def dumps_embeddings(params: m.TaggerParams, sentences: Iterable[Sentence]) -> str:
     """One TSV row per sentence: region name, then the mean feature vector over its tokens as
     ``'%.6f'`` writes it; means of tanh features lie in [-1, 1], where ``_tsv_cells`` is exact."""
     names = [f"{r.display}\t".encode() for r in Region]
@@ -678,7 +662,7 @@ def dumps_embeddings(params: m.TaggerParams, sentences: Sequence[Sentence]) -> s
 
 
 def export_embeddings(
-    params: m.TaggerParams, sentences: Sequence[Sentence], path: str | Path
+    params: m.TaggerParams, sentences: Iterable[Sentence], path: str | Path
 ) -> None:
     """``dumps_embeddings`` written to ``path``."""
     Path(path).write_text(dumps_embeddings(params, sentences), encoding="utf-8")

@@ -514,10 +514,10 @@ MALFORMED = {
         "document 'separable-000', sentence 1: token text, region or tag count differs"),
     "iaa layer has an unknown tag": (
         _iaa_case(lambda r: {**r, "tags": ["B-PERSONA", *r["tags"][1:]]}),
-        "error: unknown tag 'B-PERSONA' at position 0"),
+        "layer_b.jsonl: separable-000[1]: unknown tag 'B-PERSONA' at position 0"),
     "stats corpus has an unknown tag": (
         _jsonl_case(_RECORD, {**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}, command="stats"),
-        "error: unknown tag 'I-PERSONA' at position 1"),
+        "bad.jsonl: d[1]: unknown tag 'I-PERSONA' at position 1"),
     "train corpus has an unknown tag": (
         _train_with_record({**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}),
         "with_record.jsonl: d[0]: unknown tag 'I-PERSONA' at position 1"),
@@ -683,6 +683,17 @@ def test_malformed_input_is_one_error_line(case, corpus_file, tmp_path, capsys):
     assert "Traceback" not in err
     if "--out" in argv:
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_iaa_names_layer_a_before_layer_b_for_an_unknown_tag(tmp_path, capsys):
+    # layer B's unknown tag comes first in its file, but layer A is searched first
+    layers = {"a.jsonl": [_RECORD, {**_RECORD, "tags": ["B-PERSON", "I-PERSONA"]}],
+              "b.jsonl": [{**_RECORD, "tags": ["B-PERSONA", "O"]}, _RECORD]}
+    for name, records in layers.items():
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(["iaa", "--input", tmp_path / "a.jsonl", "--input-b", tmp_path / "b.jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'a.jsonl'}: d[1]: unknown tag 'I-PERSONA' at position 1\n")
 
 
 #: The corpus of one sentence, "Ion Pop vine", whose first two tokens are one entity.

@@ -165,13 +165,13 @@ def test_bench_pairs_summary_of_canned_results():
     assert "67.4 [67.2, 67.5]" in rows["peak_rss_mb"]
     assert "62.2 [62.1, 62.5]" in rows["peak_rss_mb"]
     # its median is better by more than the parent's quartile distance, but 4 wins
-    # of 5 are fewer than 9 of 10, so no claim holds
-    assert rows["peak_rss_mb"].split()[-3:] == ["4/5", "no", "no"]
+    # of the 6 pairs run are fewer than 9 of 10, so no claim holds
+    assert rows["peak_rss_mb"].split()[-3:] == ["4/6", "no", "no"]
     # the change reads 100 throughout; it wins no pair and its median is lower,
     # by 2 %, within the bound
-    assert rows["tok_s"].split()[-3:] == ["0/5", "no", "no"]
+    assert rows["tok_s"].split()[-3:] == ["0/6", "no", "no"]
     assert "1 [1, 1]" in rows["wall_s"] and "1.3 [1.2, 1.3]" in rows["wall_s"]
-    assert rows["wall_s"].split()[-3:] == ["1/5", "no", "yes"]
+    assert rows["wall_s"].split()[-3:] == ["1/6", "no", "yes"]
     assert lines[-2:] == ["parent: 1 failed / 24 attempted", "change: 1 failed / 21 attempted"]
     # ten pairs whose change median beats the parent's by far more than its quartile
     # distance: the claim holds at 9 wins and is refused at 8
@@ -182,6 +182,12 @@ def test_bench_pairs_summary_of_canned_results():
                  for p, c in zip(parent_tok, change_tok)]
         row = bench_pairs.summarize(pairs, end_to_end[1:2])[1]
         assert row.split()[-3:] == [f"{wins}/10", "yes" if wins == 9 else "no", "no"]
+    # 8 wins and 2 change runs without a result: the 2 pairs count as lost
+    pairs = [{"parent": json.loads(_result_line(tok_s=p)),
+              "change": json.loads(_result_line(tok_s=150.0)) if i < 8 else None}
+             for i, p in enumerate(parent_tok)]
+    row = bench_pairs.summarize(pairs, end_to_end[1:2])[1]
+    assert row.split()[-3:] == ["8/10", "no", "no"]
 
 
 def test_bench_pairs_calls_a_bound_unresolved_when_the_parent_spread_exceeds_it():

@@ -647,6 +647,49 @@ class TestEmptySentence:
             getattr(T, run)(M.init_params(small_config()), [])
 
 
+class TestIterableInput:
+    """Every sentence entry point reads its sentences once, so the generator
+    ``iter_sentences`` gives exactly what the list of its sentences gives."""
+
+    @staticmethod
+    def _call(run, splits, read):
+        """``run`` on the sentences of ``splits`` as ``read`` gives them; arrays as bytes."""
+        if run == "train":
+            result = T.train(read(splits.train), read(splits.valid), small_config(),
+                             T.TrainConfig(epochs=2, batch_size=8))
+            return result.history, [a.tobytes() for _, a in result.best_params.items_flat()]
+        params = M.init_params(small_config())
+        if run == "fit_domain_probe":
+            probe = T.fit_domain_probe(params, read(splits.train), epochs=2)
+            return [a.tobytes() for _, a in probe.items_flat()]
+        return getattr(T, run)(params, read(splits.train))
+
+    @staticmethod
+    def _outcome(run, splits, read):
+        try:
+            return TestIterableInput._call(run, splits, read)
+        except DataError as exc:
+            return f"DataError: {exc}"
+
+    @pytest.mark.parametrize("run", ["predict_corpus", "dumps_embeddings", "domain_accuracy",
+                                     "evaluate", "fit_domain_probe", "train"])
+    def test_generator_gives_the_result_of_the_list(self, run):
+        splits = split_dataset(separable_corpus(2, n_sentences=40, vocab_size=512), SplitSpec(seed=0))
+        expected = self._call(run, splits, lambda docs: list(iter_sentences(docs)))
+        assert expected and self._call(run, splits, iter_sentences) == expected
+
+    @pytest.mark.parametrize("run, expected", [
+        ("predict_corpus", []), ("dumps_embeddings", ""),
+        ("domain_accuracy", "DataError: empty subset"),
+        ("evaluate", "DataError: empty evaluation subset"),
+        ("fit_domain_probe", "DataError: empty probe training set"),
+        ("train", "DataError: empty train split")])
+    def test_empty_generator_is_the_empty_list(self, run, expected):
+        splits = Splits(train=[], valid=[], test=[])
+        assert self._outcome(run, splits, lambda docs: []) == expected
+        assert self._outcome(run, splits, iter_sentences) == expected
+
+
 class TestEvaluate:
     def test_perfect_predictor_scores_one(self):
         corpus = separable_corpus(0, n_sentences=200)
