@@ -3,8 +3,9 @@
 Just enough engine for a windowed feed-forward tagger with two softmax
 heads: a handful of forward ops and a gradient-scaling pass-through. Graphs
 are built per minibatch and discarded; there is no persistent tape. The
-finite-difference checker and the node-by-node product, which only the
-gradient tests run, live with the reference ops in ``tests/reference_ops.py``.
+finite-difference checker, the node-by-node product and the difference,
+which only the gradient tests run, live with the reference ops in
+``tests/reference_ops.py``.
 
 A gradient is made at its first contribution and later ones are added out
 of place, so nodes may share a gradient array and none is written after it
@@ -112,17 +113,6 @@ def add(a: Node, b: Node) -> Node:
         _accumulate(b, g.sum(axis=0) if row else g)
 
     return Node(a.value + b.value, (a, b), bw, "add")
-
-
-def sub(a: Node, b: Node) -> Node:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return Node(a.value - b.value, (a, b), bw, "sub")
 
 
 def mul(a: Node, factor: float) -> Node:

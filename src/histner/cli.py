@@ -133,10 +133,6 @@ def _load_for_model(path: str) -> corpus.Corpus:
     return docs
 
 
-def _sentences(docs: corpus.Corpus) -> list[corpus.Sentence]:
-    return list(corpus.iter_sentences(docs))
-
-
 def _naming_unknown_tag(call, *layers: tuple[str, corpus.Corpus]):
     """``call()``, where an unknown tag is a ``DataError`` naming the file, document and
     sentence of the first sentence, in file order and layer by layer, that holds one."""
@@ -224,10 +220,9 @@ def cmd_train(args) -> int:
     if not splits.test:
         raise DataError("empty test split")
     tagger_cfg, train_cfg = _train_configs(args)
-    result = training.train(
-        _sentences(splits.train), _sentences(splits.valid), tagger_cfg, train_cfg
-    )
-    report = training.evaluate(result.best_params, _sentences(splits.test))
+    result = training.train(corpus.iter_sentences(splits.train),
+                            corpus.iter_sentences(splits.valid), tagger_cfg, train_cfg)
+    report = training.evaluate(result.best_params, corpus.iter_sentences(splits.test))
     _publish(args,
              {"history.json": result.history_json(),
               "checkpoint_best.npz": result.best_params.save,
@@ -246,7 +241,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
-    report = training.evaluate(params, _sentences(docs))
+    report = training.evaluate(params, corpus.iter_sentences(docs))
     _publish(args, _eval_files(report), {"input": args.input, "checkpoint": args.checkpoint},
              _inputs(args))
     print(report.render_text())
@@ -275,7 +270,7 @@ def cmd_crossregion(args) -> int:
 def cmd_export_embeddings(args) -> int:
     docs = _load_for_model(args.input)
     params = model.TaggerParams.load(args.checkpoint)
-    tsv = training.dumps_embeddings(params, _sentences(docs))
+    tsv = training.dumps_embeddings(params, corpus.iter_sentences(docs))
     _publish(args, {"embeddings.tsv": tsv},
              {"input": args.input, "checkpoint": args.checkpoint}, _inputs(args))
     print(f"wrote {Path(args.out) / 'embeddings.tsv'}")

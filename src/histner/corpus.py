@@ -316,10 +316,11 @@ def _rebuild(corpus: Corpus, part_of: dict[tuple[int, int], str]) -> Splits:
     return Splits(**parts)
 
 
-def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
+def split_dataset(corpus: Iterable[Document], spec: SplitSpec) -> Splits:
     """Sentence-level split of each region by ``SPLIT_RATIOS``, deterministic
-    per seed."""
+    per seed; the documents may be any iterable, read once."""
     check_config(spec)
+    corpus = list(corpus)
     by_region: dict[Region, list[tuple[int, int]]] = {}
     for d_idx, doc in enumerate(corpus):
         for s_idx, sent in enumerate(doc.sentences):
@@ -336,13 +337,14 @@ def split_dataset(corpus: Corpus, spec: SplitSpec) -> Splits:
     return _rebuild(corpus, part_of)
 
 
-def apply_split_file(corpus: Corpus, mapping: dict) -> Splits:
+def apply_split_file(corpus: Iterable[Document], mapping: dict) -> Splits:
     """Split according to an explicit assignment instead of ``SPLIT_RATIOS``.
 
     ``mapping`` has keys train/valid/test; entries are document ids
     (whole document) or ``doc_id#i`` (single sentence). Every sentence
-    must be assigned exactly once.
+    must be assigned exactly once. The documents are read once.
     """
+    corpus = list(corpus)
     for part in ("train", "valid", "test"):
         if not isinstance(mapping.get(part), list):
             raise DataError(f"split file needs a {part!r} list")
@@ -447,9 +449,10 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
+def corpus_stats(corpus: Iterable[Document]) -> CorpusStats:
     """Per (entity label, region) counts plus corpus totals; the cells are
-    in the order of their first span."""
+    in the order of their first span. The documents are read once."""
+    corpus = list(corpus)
     sentences = list(iter_sentences(corpus))
     sentence, label, first, last = iob_spans(tag_ids([s.tags for s in sentences]),
                                              [len(s.tags) for s in sentences])

@@ -9,7 +9,7 @@ precision, recall, and F1 fall back to 0 when their denominator is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,10 +82,11 @@ def span_counts(gold: Sequence[np.ndarray], pred: Sequence[np.ndarray],
 
 
 def strict_f1(
-    gold: Sequence[Sequence[EntitySpan]], pred: Sequence[Sequence[EntitySpan]]
+    gold: Iterable[Sequence[EntitySpan]], pred: Iterable[Sequence[EntitySpan]]
 ) -> StrictF1Report:
     """Micro-averaged strict F1 over aligned sentence lists, plus one PRF
     per entity label computed on that label's spans only."""
+    gold, pred = list(gold), list(pred)
     if len(gold) != len(pred):
         raise DataError(f"gold has {len(gold)} sentences but pred has {len(pred)}")
     index = {label: i for i, label in enumerate(EntityLabel)}
@@ -114,11 +115,12 @@ def compare_layers(a: np.ndarray, b: np.ndarray, lengths: Sequence[int], regions
 
 
 def _tag_ids(
-    tags_a: Sequence[Sequence[str]], tags_b: Sequence[Sequence[str]]
+    tags_a: Iterable[Sequence[str]], tags_b: Iterable[Sequence[str]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two aligned tag lists, checked to hold as many sentences as each
+    """Two aligned tag lists, each read once, checked to hold as many sentences as each
     other, each as long as its counterpart, flattened into int64 arrays
     of ids given to the tags in the order they are first seen."""
+    tags_a, tags_b = list(tags_a), list(tags_b)
     if len(tags_a) != len(tags_b):
         raise DataError(f"the first tag list has {len(tags_a)} sentences, the second {len(tags_b)}")
     for i, (a, b) in enumerate(zip(tags_a, tags_b)):
@@ -137,7 +139,7 @@ def accuracy(a: np.ndarray, b: np.ndarray) -> float:
     return np.count_nonzero(a == b) / len(a)
 
 
-def token_accuracy(gold_tags: Sequence[Sequence[str]], pred_tags: Sequence[Sequence[str]]) -> float:
+def token_accuracy(gold_tags: Iterable[Sequence[str]], pred_tags: Iterable[Sequence[str]]) -> float:
     """Fraction of matching tags over all tokens, O included."""
     return accuracy(*_tag_ids(gold_tags, pred_tags))
 
@@ -162,7 +164,7 @@ def _kappa(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cohens_kappa(
-    tags_a: Sequence[Sequence[str]], tags_b: Sequence[Sequence[str]]
+    tags_a: Iterable[Sequence[str]], tags_b: Iterable[Sequence[str]]
 ) -> float:
     """Token-level kappa over aligned tag lists; the tags may be any strings.
 
@@ -217,10 +219,11 @@ _LABEL_PROJECTION = {
 }
 
 
-def iaa_report(ann_a: Sequence[Document], ann_b: Sequence[Document]) -> AgreementReport:
-    """Agreement between two annotation layers over the same documents,
-    annotator A taken as reference for the pairwise F1. The layers must
-    match sentence by sentence in token text, region and tag count."""
+def iaa_report(ann_a: Iterable[Document], ann_b: Iterable[Document]) -> AgreementReport:
+    """Agreement between two annotation layers over the same documents, each
+    read once, annotator A taken as reference for the pairwise F1. The layers
+    must match sentence by sentence in token text, region and tag count."""
+    ann_a, ann_b = list(ann_a), list(ann_b)
     if len(ann_a) != len(ann_b):
         raise DataError("annotation layers have different document counts")
     sents_a: list[Sentence] = []

@@ -2,7 +2,8 @@
 region and entity, the inter-regional train/eval matrix, and embedding
 export.
 
-Modes and their gradient routing, for a batch loss pair (L_y, L_d):
+Modes and their gradient routing, for a batch loss pair (L_y, L_d), as
+``_routing`` gives them:
 
 * baseline   backpropagates L_y alone; the domain head receives nothing.
 * grad_rev   backpropagates L_y + L_d, with a scale-by(-lambda) node
@@ -121,6 +122,12 @@ def _region_ids(group: Sequence[EncodedSentence]) -> np.ndarray:
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
+def _routing(mode: str, lam: float) -> tuple[float | None, float | None]:
+    """A mode's ``(scale, weight)``: the scale on the gradient from the features to the domain
+    head, and the weight of L_d in the objective; ``None`` leaves out the node or the term."""
+    return {"baseline": (None, None), "grad_rev": (-lam, 1.0), "loss_rev": (None, -lam)}[mode]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def compute_losses(
     params: m.TaggerParams,
@@ -140,17 +147,12 @@ def compute_losses(
     windows = np.concatenate([s.windows for s in batch], axis=0)
     tags = np.concatenate([s.tag_ids for s in batch])
     regions = _region_ids(batch)
-    scale = -lam if mode == "grad_rev" else None
+    scale, weight = _routing(mode, lam)
     graph = m.forward_windows(params, windows, domain_grad_scale=scale)
     l_y = ad.mean(ad.softmax_cross_entropy(graph.ner_logits, tags))
     l_d = ad.mean(ad.softmax_cross_entropy(graph.domain_logits, regions))
-    if mode == "baseline":
-        total = l_y
-    elif mode == "grad_rev":
-        # reported sum is for monitoring; the routing defines the method
-        total = ad.add(l_y, l_d)
-    else:
-        total = ad.sub(l_y, ad.mul(l_d, lam))
+    # under grad_rev the weight is 1: the reported sum is for monitoring, the scale is the method
+    total = l_y if weight is None else ad.add(l_y, ad.mul(l_d, weight))
     ad.backward(total)
     grads = {
         key: graph.embed_gradient() if key == m.EMBED else graph.gradient(key)
@@ -218,7 +220,9 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 #: ``train()`` holds the table's moments for the rows its training windows
 #: read when those are at most this share of the table, and for the whole
 #: table otherwise. Both give the same bits. On a 2-vCPU Xeon host, Adam on
-#: a 2^15 x 64 table costs the same both ways at a share of about one half.
+#: a 2^15 x 64 table with 500-row gradients takes 20 ms on the held rows at
+#: a share of one half against 33 ms on the whole table; the two cost the
+#: same near a share of 0.8, and the whole table is cheaper above it.
 _SPARSE_SHARE = 0.5
 
 #: Elements per block of the weight decay, so that a block stays in cache
@@ -303,17 +307,18 @@ def adam_step(
                 raise NonFiniteError(m.TABLE_NOT_FINITE)
         elif weight_decay:
             _decay(arr, lr * weight_decay)
+        target = arr if rows is None else arr[rows]
         if key not in state.m:
-            size = arr.shape if rows is None else (len(rows), *arr.shape[1:])
-            state.m[key], state.v[key] = np.zeros(size), np.zeros(size)
-        if rows is None:
-            _adam_update(arr, state.m[key], state.v[key], grad.dense() if sparse else grad, lr,
-                         state.step)
-        else:
-            gathered = arr[rows]
-            row_grad = m.RowSparse(np.searchsorted(rows, grad.rows), grad.values, len(rows))
-            _adam_update(gathered, state.m[key], state.v[key], row_grad.dense(), lr, state.step)
-            arr[rows] = gathered
+            state.m[key], state.v[key] = np.zeros(target.shape), np.zeros(target.shape)
+        if sparse:
+            at = grad.rows if rows is None else np.searchsorted(rows, grad.rows)
+            grad = m.RowSparse(at, grad.values, len(target))
+        # densified in the call: a dense gradient bound to a name here took 30 % more page
+        # faults and 8 % more time per step of 2^15 x 64 held at a share of 0.5
+        _adam_update(target, state.m[key], state.v[key], grad.dense() if sparse else grad, lr,
+                     state.step)
+        if rows is not None:
+            arr[rows] = target
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +467,7 @@ def train(
     read = np.unique(np.concatenate([s.windows for s in encoded]))
     few = len(read) <= _SPARSE_SHARE * len(params.extractor["embed"])
     state = AdamState(rows={m.EMBED: read} if few else {})
+    _, weight = _routing(config.mode, config.lam)
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_f1 = -1.0
@@ -488,18 +494,12 @@ def train(
             raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
         l_y = epoch_ly / train_tokens
         l_d = epoch_ld / train_tokens
-        if config.mode == "baseline":
-            l_total = l_y
-        elif config.mode == "grad_rev":
-            l_total = l_y + l_d
-        else:
-            l_total = l_y - config.lam * l_d
         history.append(
             {
                 "epoch": epoch,
                 "l_y": l_y,
                 "l_d": l_d,
-                "l_total": l_total,
+                "l_total": l_y if weight is None else l_y + weight * l_d,
                 "valid_f1": valid_report.overall_f1.f1,
                 "valid_acc": valid_report.overall_accuracy,
                 "valid_domain_acc": accuracy(valid_regions, domain_pred),

@@ -5,8 +5,11 @@ The per-slot reference graph gathers each window slot with
 ``embedding_lookup`` over the whole table and joins the slots with
 ``concat``; the tagger's own forward gathers the windows once and keeps its
 table gradient row-sparse. ``mul`` adds the node-by-node product to the
-engine's product with a scalar. ``finite_difference_check`` is the central
-finite-difference oracle for every gradient. ``is_valid_iob`` is the oracle
+engine's product with a scalar. ``sub`` is the difference with which the
+reference graphs write the loss-reversal objective, L_y - lambda * L_d,
+which the tagger's step builds as a sum with the weight -lambda.
+``finite_difference_check`` is the central finite-difference oracle for
+every gradient. ``is_valid_iob`` is the oracle
 for the IOB2 sequences that ``encode_iob`` repairs and the generators emit.
 ``decode_iob`` walks the tags one at a time and ``span_counts`` matches
 spans with a ``Counter``, the loops that ``corpus.iob_spans`` and
@@ -39,7 +42,6 @@ from histner.autodiff import (
     mean,
     scale_gradient,
     softmax_cross_entropy,
-    sub,
     tanh,
 )
 from histner.corpus import TAG_TO_ID, EntityLabel, EntitySpan, Region
@@ -95,6 +97,17 @@ def mul(a: Node, b) -> Node:
 
         return Node(a.value * b.value, (a, b), bw, "mul")
     return autodiff.mul(a, b)
+
+
+def sub(a: Node, b: Node) -> Node:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
+
+    return Node(a.value - b.value, (a, b), bw, "sub")
 
 
 @np.errstate(over="ignore", invalid="ignore")

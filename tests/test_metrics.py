@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histner.corpus import EntityLabel, EntitySpan, Region, TAG_ALPHABET, decode_iob, iob_spans
+from histner.corpus import (EntityLabel, EntitySpan, Region, SplitSpec, TAG_ALPHABET,
+                            apply_split_file, corpus_stats, decode_iob, iob_spans, iter_sentences,
+                            split_dataset)
 from histner.errors import DataError, TagError
 from histner.metrics import (
     PRF,
@@ -16,6 +18,8 @@ from histner.metrics import (
     strict_f1,
     token_accuracy,
 )
+
+from histner.synthetic import separable_corpus
 
 import reference_ops as ref
 from conftest import make_doc, make_sentence
@@ -516,3 +520,30 @@ class TestIaaReport:
     def test_json_keys(self, tiny_corpus):
         payload = iaa_report(tiny_corpus, tiny_corpus).to_json_dict()
         assert set(payload) == {"overall", "per_region", "per_label"}
+
+
+def _entry_point_arguments(entry):
+    """``(function, positional arguments, how many of them are read as iterables)``."""
+    docs = separable_corpus(1, n_sentences=40, vocab_size=512)
+    layers = _two_layer_docs()
+    tags = [[s.tags for s in iter_sentences(layer)] for layer in layers]
+    return {
+        "split_dataset": (split_dataset, [docs, SplitSpec(seed=3)], 1),
+        "apply_split_file": (apply_split_file, [docs, {"train": [d.id for d in docs[:-2]],
+                                                       "valid": [docs[-2].id],
+                                                       "test": [docs[-1].id]}], 1),
+        "corpus_stats": (corpus_stats, [docs], 1),
+        "token_accuracy": (token_accuracy, tags, 2),
+        "cohens_kappa": (cohens_kappa, tags, 2),
+        "strict_f1": (strict_f1, [[decode_iob(t) for t in side] for side in tags], 2),
+        "iaa_report": (iaa_report, list(layers), 2),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", ["split_dataset", "apply_split_file", "corpus_stats",
+                                   "token_accuracy", "cohens_kappa", "strict_f1", "iaa_report"])
+def test_iterator_gives_the_result_of_the_list(entry):
+    # each corpus and metrics entry point reads its sequence arguments once
+    function, args, n_read = _entry_point_arguments(entry)
+    expected = function(*args)
+    assert function(*[iter(a) for a in args[:n_read]], *args[n_read:]) == expected

@@ -279,3 +279,19 @@ def test_bench_pairs_gives_each_side_one_fresh_bytecode_cache(tmp_path, capsys, 
                    for checkout in checkouts.values())
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == ["parent: 0 failed / 8 attempted", "change: 0 failed / 8 attempted"]
+
+
+def test_output_digests():
+    lines = run_script("output_digests.py")
+    digests = [line.split("  ") for line in lines]
+    assert all(len(d) == 2 and re.fullmatch("[0-9a-f]{64}", d[0]) for d in digests), lines
+    files = [name for _, name in digests]
+    train = ["checkpoint_best.npz", "checkpoint_final.npz", "eval.json", "eval.tsv", "history.json"]
+    expected = []
+    for vocab in ("v64", "v4096"):
+        expected.append(f"stats-{vocab}/stats.json")
+        for mode in training.MODES:
+            expected += [f"train-{mode}-{vocab}/{name}" for name in train]
+            expected += [f"eval-{mode}-{vocab}/eval.json", f"eval-{mode}-{vocab}/eval.tsv",
+                         f"export-embeddings-{mode}-{vocab}/embeddings.tsv"]
+    assert files == expected

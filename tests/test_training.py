@@ -428,6 +428,18 @@ class TestTrain:
             "epoch", "l_y", "l_d", "l_total", "valid_f1", "valid_acc", "valid_domain_acc",
         }
 
+    @pytest.mark.parametrize("mode, objective", [
+        ("baseline", lambda l_y, l_d, lam: l_y),
+        ("grad_rev", lambda l_y, l_d, lam: l_y + l_d),
+        ("loss_rev", lambda l_y, l_d, lam: l_y - lam * l_d)])
+    def test_history_objective_per_mode(self, mode, objective):
+        # every epoch's l_total is the mode's objective of that epoch's l_y and l_d, to the bit
+        train_s, valid_s, _ = _split_sentences(separable_corpus(1, n_sentences=40, vocab_size=512))
+        config = T.TrainConfig(mode=mode, epochs=3, lam=0.3)
+        history = T.train(train_s, valid_s, small_config(), config).history
+        assert [h["l_total"] for h in history] == [objective(h["l_y"], h["l_d"], config.lam)
+                                                    for h in history]
+
     def test_best_checkpoint_ties_to_earlier_epoch(self):
         corpus = separable_corpus(2, n_sentences=120, vocab_size=2048)
         train_s, valid_s, _ = _split_sentences(corpus)
