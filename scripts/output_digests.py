@@ -6,9 +6,9 @@ runs, one ``<sha256>  <run>/<file>`` line each, in run order; the runs'
 The runs, with BLAS pinned to one thread, take about a second:
 
 * ``histner stats`` of two generated corpora: ``separable_corpus(0)`` at
-  vocab 64, whose training windows read over half the table, so Adam holds
-  the whole table's moments, and ``regional_corpus(0)`` at vocab 4096,
-  whose training windows read a few rows, so Adam holds those rows only;
+  vocab 64, whose training windows read 44 of the table's 65 rows, and
+  ``regional_corpus(0)`` at vocab 4096, whose training windows read 129 of
+  4097; Adam holds the moments of those rows only;
 * ``histner train`` on each corpus in each mode;
 * ``histner eval`` and ``histner export-embeddings`` on each training run's
   best checkpoint.

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import (Corpus, Document, EntityLabel, EntitySpan, Region, Sentence, encode_iob,
-                     read_text)
+from .corpus import (Corpus, Document, EntityLabel, EntitySpan, Region, encode_iob, read_text,
+                     sentence_from_texts)
 from .errors import AlignmentError, BratParseError, DataError, HistnerError, UnsupportedSpanError
 
 logger = logging.getLogger(__name__)
@@ -214,7 +214,7 @@ def document_from_brat(doc_id: str, region: Region, text_content: str,
     # no token holds a "\n", so the tokens of one line are one run
     starts = [i for i, t in enumerate(tokens)
               if i == 0 or "\n" in text_content[tokens[i - 1].end:t.start]]
-    sentences = [Sentence(tokens=[unicodedata.normalize("NFC", t.text) for t in tokens[a:b]],
-                          tags=tags[a:b], region=region)
+    sentences = [sentence_from_texts([unicodedata.normalize("NFC", t.text) for t in tokens[a:b]],
+                                     tags[a:b], region)
                  for a, b in zip(starts, [*starts[1:], len(tokens)])]
     return Document(id=doc_id, region=region, sentences=sentences)

@@ -471,9 +471,13 @@ def corpus_stats(corpus: Iterable[Document]) -> CorpusStats:
 # ---------------------------------------------------------------------------
 
 def sentence_from_texts(texts: Sequence[str], tags: Sequence[str], region: Region) -> Sentence:
-    """A sentence from token strings; an empty string is an error."""
-    if not all(texts):
-        raise DataError("empty token text")
+    """A sentence from token strings; a token that is empty, or that holds a tab, ``\\n`` or
+    ``\\r`` and so would break a tab-separated line, is an error."""
+    joined = "".join(texts)
+    if not all(texts) or "\t" in joined or "\n" in joined or "\r" in joined:
+        i = next(i for i, t in enumerate(texts) if not t or "\t" in t or "\n" in t or "\r" in t)
+        raise DataError(f"token {i} {texts[i]!r} holds a tab or a line break" if texts[i]
+                        else "empty token text")
     return Sentence(tokens=list(texts), tags=list(tags), region=region)
 
 

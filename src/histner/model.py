@@ -93,12 +93,8 @@ class TaggerParams:
                 yield (group_name, name), arr
 
     def copy(self) -> "TaggerParams":
-        return TaggerParams(
-            config=self.config,
-            extractor={k: v.copy() for k, v in self.extractor.items()},
-            ner_head={k: v.copy() for k, v in self.ner_head.items()},
-            domain_head={k: v.copy() for k, v in self.domain_head.items()},
-        )
+        return TaggerParams(self.config, **{name: {k: v.copy() for k, v in group.items()}
+                                            for name, group in self.groups().items()})
 
     def save(self, path: str | Path) -> None:
         # np.savez's layout, each array written from its own buffer: numpy's

@@ -209,21 +209,14 @@ class AdamState:
     step: int = 0
     #: Per row-sparse parameter whose moments are held for some rows only,
     #: the sorted rows that every gradient of it falls in, fixed before the
-    #: first step; ``m`` and ``v`` hold those rows in that order. A key
-    #: without an entry has moments of the parameter's shape.
+    #: first step; ``m`` and ``v`` hold those rows in that order. ``train()``
+    #: holds the rows its training windows read for the table. A key without
+    #: an entry has moments of the parameter's shape.
     rows: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
 
 #: Adam's moment decay rates and the guard added to the update's denominator.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-
-#: ``train()`` holds the table's moments for the rows its training windows
-#: read when those are at most this share of the table, and for the whole
-#: table otherwise. Both give the same bits. On a 2-vCPU Xeon host, Adam on
-#: a 2^15 x 64 table with 500-row gradients takes 20 ms on the held rows at
-#: a share of one half against 33 ms on the whole table; the two cost the
-#: same near a share of 0.8, and the whole table is cheaper above it.
-_SPARSE_SHARE = 0.5
 
 #: Elements per block of the weight decay, so that a block stays in cache
 #: between its sum of squares and its product: on a 2-vCPU Xeon host the
@@ -235,14 +228,14 @@ _DECAY_BLOCK = 32768
 
 def _decay(arr: np.ndarray, factor: float) -> bool:
     """``arr -= factor * arr`` in place (not at all for a 0 ``factor``), a block of rows at a
-    time through one buffer; returns whether ``arr`` was finite, checked as ``ad.all_finite``
-    checks, block by block before the block's decay."""
+    time through one buffer; returns whether ``arr`` was finite, checked by ``ad.all_finite``
+    block by block before the block's decay."""
     rows = max(1, _DECAY_BLOCK // (arr.size // len(arr)))
     buf = np.empty((min(rows, len(arr)), *arr.shape[1:])) if factor else None
     finite = True
     for lo in range(0, len(arr), rows):
         block = arr[lo : lo + rows]
-        finite = finite and bool(np.isfinite(np.vdot(block, block)) or np.isfinite(block).all())
+        finite = finite and ad.all_finite(block)
         if factor:
             block -= np.multiply(factor, block, out=buf[: len(block)])
     return finite
@@ -280,12 +273,12 @@ def adam_step(
     gradient in ``grads``; the others stay as they are. Weight decay is
     decoupled and applied before the moment update.
 
-    A key with rows in ``state.rows`` takes only ``RowSparse`` gradients
-    within those rows, and Adam updates its moments and the parameter on
-    those rows alone. A row that has had no gradient yet, held or not, has
-    zero moments and a zero gradient, so its dense update is exactly 0;
-    every row outside the held ones is such a row, and only the decay,
-    which stays dense, moves it.
+    A key with rows in ``state.rows``, as ``train()`` gives the table, takes
+    only ``RowSparse`` gradients within those rows, and Adam updates its
+    moments and the parameter on those rows alone, with the bits of the
+    whole-parameter update that a key without rows gets: a row that has had
+    no gradient yet has zero moments and a zero gradient, so its dense
+    update is exactly 0, and only the decay, which stays dense, moves it.
 
     The table's decay pass, made even when ``weight_decay`` is 0, is the
     step's one whole-table check: a non-finite value anywhere in the table
@@ -464,9 +457,7 @@ def train(
     train_tokens = sum(len(s) for s in encoded)
     valid_regions = _region_ids(valid_encoded)
     # every row a batch can read is known before the first step
-    read = np.unique(np.concatenate([s.windows for s in encoded]))
-    few = len(read) <= _SPARSE_SHARE * len(params.extractor["embed"])
-    state = AdamState(rows={m.EMBED: read} if few else {})
+    state = AdamState(rows={m.EMBED: np.unique(np.concatenate([s.windows for s in encoded]))})
     _, weight = _routing(config.mode, config.lam)
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []

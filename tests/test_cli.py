@@ -261,13 +261,14 @@ class TestCrossRegion:
 _RECORD = {"doc_id": "d", "region": "Moldavia", "tokens": ["Ion", "vine"], "tags": ["B-PERSON", "O"]}
 
 
-def _jsonl_case(*records, command="validate"):
-    """Build a ``command`` run on a JSONL file holding the given lines."""
+def _jsonl_case(*records, command="validate", out=False):
+    """Build a ``command`` run (its words split on spaces) on a JSONL file
+    holding the given lines, writing to ``--out`` when ``out`` is set."""
     def build(tmp_path, corpus_file):
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(
             (r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
-        return [command, "--input", path]
+        return [*command.split(), "--input", path, *(["--out", tmp_path / "o"] if out else [])]
     return build
 
 
@@ -491,6 +492,11 @@ MALFORMED = {
     "region is a bool": (_jsonl_case({**_RECORD, "region": True}), "line 1"),
     "token text is empty": (
         _jsonl_case(_RECORD, {**_RECORD, "tokens": ["Ion", ""]}), "bad.jsonl: line 2: empty token text"),
+    **{f"{command.split()[0]} token holds {name}": (
+        _jsonl_case(_RECORD, {**_RECORD, "tokens": ["Ion", sep]}, command=command, out=True),
+        f"bad.jsonl: line 2: token 1 {sep!r} holds a tab or a line break")
+       for command in ("convert --from jsonl --to conll", "tfidf")
+       for name, sep in (("a tab", "\t"), ("a LF", "\n"), ("a CR", "\r"))},
     "document years disagree": (
         _jsonl_case({**_RECORD, "year": 1900}, {**_RECORD, "year": 1900}, "",
                     {**_RECORD, "year": 1850}),

@@ -805,7 +805,10 @@ class TestHistneroAdapter:
         (json.dumps({**_RELEASE_ROW, "id": "valid-00000", "year": 1900}),
          "line 3: document 'valid-00000' has year 1900, but None at line 1"),
         (json.dumps({"ner_tags": [1, 0], "region": "Moldavia"}), "line 3: no 'tokens' field"),
-    ], ids=["invalid JSON", "unknown region", "document years disagree", "no tokens"])
+        (json.dumps({**_RELEASE_ROW, "tokens": ["Ion", "mer\rge"]}),
+         "line 3: token 1 .* holds a tab or a line break"),
+    ], ids=["invalid JSON", "unknown region", "document years disagree", "no tokens",
+            "token holds a CR"])
     def test_bad_line_names_its_file_line(self, tmp_path, bad_line, message):
         for name in ("train", "valid", "test"):
             (tmp_path / f"{name}.json").write_text(json.dumps(_RELEASE_ROW) + "\n")
@@ -875,3 +878,9 @@ def test_sentence_tokens_are_strings(builder, tmp_path):
     for sent in sentences:
         assert all(type(t) is str for t in sent.tokens), sent.tokens
         assert sent.token_texts is sent.tokens
+
+
+@pytest.mark.parametrize("sep", ["\t", "\n", "\r"], ids=["tab", "LF", "CR"])
+def test_token_that_breaks_a_tsv_line_is_rejected(sep):
+    with pytest.raises(DataError, match=r"^token 2 've.{2}nit' holds a tab or a line break$"):
+        C.sentence_from_texts(["Ion", "a", f"ve{sep}nit"], ["B-PERSON", "O", "O"], Region.MOLDAVIA)
